@@ -555,7 +555,6 @@ def _make_service(args: argparse.Namespace, obs: ObsRegistry):
         model_cache=models,
         obs=obs,
         max_batch=args.max_batch,
-        batch_wait_s=args.batch_wait_ms / 1000.0,
         telemetry=ServeTelemetry(
             enabled=not args.no_telemetry,
             trace_tail=args.trace_store,
@@ -634,7 +633,6 @@ def _bench_serve_overhead(args: argparse.Namespace, obs: ObsRegistry) -> int:
             model_cache=models,
             obs=obs,
             max_batch=args.max_batch,
-            batch_wait_s=args.batch_wait_ms / 1000.0,
             telemetry=ServeTelemetry(
                 enabled=enabled,
                 trace_tail=args.trace_store,
@@ -829,13 +827,7 @@ def _serve_parent() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=64,
-        help="largest classify micro-batch per model call",
-    )
-    parent.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=2.0,
-        help="how long classify waits to co-batch concurrent requests",
+        help="largest classify batch per model call",
     )
     parent.add_argument(
         "--no-telemetry",

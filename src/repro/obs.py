@@ -569,12 +569,13 @@ class ObsRegistry:
 # (or adopts, via the X-Repro-Trace-Id header) one per request, activates it
 # on the handler thread, and every instrumented layer underneath — the
 # service methods, the posting-list index, the render cache, the model
-# cache, the classify micro-batcher — attaches spans through the
+# cache, the classify batcher — attaches spans through the
 # module-level ``trace_span`` helper without any plumbing through call
 # signatures.  Propagation uses a ContextVar, so concurrent requests on
-# different handler threads never see each other's traces; the batcher
-# thread, which serves many traces at once, attaches spans explicitly via
-# ``TraceContext.add_span`` using the site captured at submit time.
+# different handler threads never see each other's traces; the batcher's
+# group model call, which serves many traces at once from one request's
+# thread, attaches spans explicitly via ``TraceContext.add_span`` using the
+# site each member captured at submit time.
 # ---------------------------------------------------------------------------
 
 
@@ -589,9 +590,9 @@ class TraceContext:
     Unlike :class:`ObsRegistry` spans (one global tree per run), a
     TraceContext is created per request, carries a ``trace_id``, and bounds
     itself: at most *max_spans* spans are kept, further ones are counted in
-    :attr:`dropped`.  All mutation goes through one small lock, so a worker
-    thread (the classify batcher) can attach spans to a trace owned by a
-    handler thread.
+    :attr:`dropped`.  All mutation goes through one small lock, so another
+    request's thread (the classify batcher's group model call) can attach
+    spans to a trace owned by a handler thread.
 
     Args:
         trace_id: adopt this id (an ``X-Repro-Trace-Id`` header value);
@@ -732,8 +733,9 @@ def current_trace() -> TraceContext | None:
 
 
 def current_trace_site() -> "tuple[TraceContext, int | None] | None":
-    """The ambient ``(trace, active span id)`` pair — what a cross-thread
-    handoff (e.g. the classify batcher) captures at submit time."""
+    """The ambient ``(trace, active span id)`` pair — what a request
+    captures when another request's thread may run its work (the classify
+    batcher's group model call), so spans land in the right trace."""
     return _TRACE_STATE.get()
 
 

@@ -12,7 +12,7 @@ telemetry, Prometheus ``/metrics``, and sampled request traces over
 Layering:
 
 * :mod:`repro.serve.service` — the framework-independent core
-  (:class:`PatchDBService`) plus the classify micro-batcher.
+  (:class:`PatchDBService`) plus the group-commit classify batcher.
 * :mod:`repro.serve.telemetry` — per-thread shard registries, the bounded
   trace store, and the Prometheus exposition behind ``/metrics``.
 * :mod:`repro.serve.http` — route translation, per-request trace

@@ -247,7 +247,11 @@ class _Handler(BaseHTTPRequestHandler):
         endpoint, method = entry
         status = 200
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            raw_length = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(raw_length)
+            except ValueError:
+                raise QueryError(f"invalid Content-Length: {raw_length!r}") from None
             if length <= 0:
                 raise QueryError(f"{endpoint} requires a non-empty .patch request body")
             if length > MAX_BODY_BYTES:

@@ -18,9 +18,11 @@ Three design points:
   model exactly once, keyed by the sha of the served training set.  With a
   persisted model cache, a restart against the same dataset loads the
   pickle and never calls ``fit`` at all.
-* **Micro-batched classification.**  Concurrent classify requests funnel
-  through one :class:`ClassifyBatcher` worker that stacks their feature
-  rows into a single ``predict_proba`` call — the per-row predictions are
+* **Group-commit classification.**  Concurrent classify requests share
+  one model lock in :class:`ClassifyBatcher`: the request thread holding it
+  stacks every queued feature row into a single ``decision_scores`` call,
+  so a lone request predicts at once and requests that pile up behind a
+  running call go together in the next one.  Per-row predictions are
   independent, so batched responses are bit-identical to serial ones.
 * **Lock-free live telemetry.**  Every per-request observation (HTTP
   counters, latency histograms, dataset index/render-cache hits, lint and
@@ -29,16 +31,17 @@ Three design points:
   so the hot path never takes a cross-thread lock and a week-long server
   never grows its histograms.  Request traces (:class:`~repro.obs.TraceContext`)
   thread from the HTTP handler through query/classify/lint down into the
-  index, render cache, model cache, and across the batcher's thread
-  handoff; finished traces land in a bounded store exportable as
-  ``repro-run-manifest-v1`` JSONL (``/v1/traces`` → ``python -m repro trace``).
+  index, render cache, model cache, and the batcher's group model call,
+  even when another request's thread runs it; finished traces land in a
+  bounded store exportable as ``repro-run-manifest-v1`` JSONL
+  (``/v1/traces`` → ``python -m repro trace``).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Iterator
 
@@ -72,21 +75,20 @@ MODEL_CONFIG = {
 
 
 class ClassifyBatcher:
-    """Micro-batches concurrent single-row predictions into stacked calls.
+    """Group-commits concurrent single-row predictions into stacked calls.
 
-    Requests land in a queue; one worker thread drains it — first request
-    blocks, then up to ``max_batch - 1`` more are collected for at most
-    ``max_wait_s`` — and resolves every request's future from one
-    ``predict_batch`` call over the stacked rows.  Per-row predictions are
-    independent, so a batched response is bit-identical to the serial one;
-    batching only amortizes the per-call model overhead across concurrent
-    requests (the ``fit_many`` trick, applied to inference).
+    :meth:`submit` appends a row to a pending list; :meth:`commit` takes
+    the model lock, drains up to ``max_batch`` pending rows into one
+    ``predict_batch`` call, and repeats until the caller's own row is
+    resolved.  A lone request therefore predicts at once on its own thread;
+    requests that arrive while a call runs queue behind the lock and go
+    together in the next call — batching under load with no timer and no
+    worker thread.  Per-row predictions are independent, so a batched
+    response is bit-identical to the serial one.
 
     Args:
         predict_batch: ``(N, F) matrix -> (N,) probabilities`` callable.
         max_batch: largest batch assembled per model call.
-        max_wait_s: how long the worker waits for co-batchable requests
-            after the first one arrives.
         obs: registry for ``classify_batches`` / ``classify_batched_requests``
             counters and the per-batch ``classify_batch`` size histogram.
     """
@@ -95,87 +97,65 @@ class ClassifyBatcher:
         self,
         predict_batch: Callable[[np.ndarray], np.ndarray],
         max_batch: int = 64,
-        max_wait_s: float = 0.002,
         obs: ObsRegistry | None = None,
     ) -> None:
         self._predict = predict_batch
         self._max_batch = max(1, max_batch)
-        self._max_wait = max(0.0, max_wait_s)
         self.obs = obs if obs is not None else ObsRegistry()
-        self._queue: queue.Queue = queue.Queue()
-        self._obs_lock = threading.Lock()
-        self._worker = threading.Thread(
-            target=self._run, name="classify-batcher", daemon=True
-        )
+        # Any thread appends; only the model-lock holder pops.
+        self._pending: deque = deque()
+        self._model_lock = threading.Lock()
         self._closed = False
-        self._worker.start()
 
     def submit(self, row: np.ndarray) -> "Future[float]":
-        """Enqueue one feature row; the future resolves to its probability.
+        """Queue one feature row; :meth:`commit` resolves its future.
 
-        The caller's active trace site (if any) is captured here and
-        carried across the thread handoff: the worker attaches a
-        ``model.predict`` span to each waiter's trace after the shared
-        batch call, so request traces show the prediction they waited on
-        even though it ran on the batcher thread.
+        The caller's active trace site (if any) is captured with the row:
+        whichever thread runs the group's model call attaches a
+        ``model.predict`` span to each member's trace, so every request
+        trace shows the prediction it was part of.
         """
         if self._closed:
             raise ReproError("ClassifyBatcher is closed")
         future: Future[float] = Future()
-        self._queue.put((row, future, current_trace_site()))
+        self._pending.append((row, future, current_trace_site()))
         return future
 
-    def close(self) -> None:
-        """Drain outstanding requests and stop the worker."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(None)
-        self._worker.join(timeout=10.0)
+    def commit(self, future: "Future[float]") -> float:
+        """Run queued groups on this thread until *future* is resolved, and
+        return its probability (or raise its model call's exception).
 
-    # ---- worker -----------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            batch = [item]
-            deadline = time.monotonic() + self._max_wait
-            stop = False
-            while len(batch) < self._max_batch:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    # One non-blocking sweep so an already-full queue still
-                    # batches even with a zero wait window.
-                    timeout = 0.0
+        Every future of a group is resolved before the lock is released,
+        even when the group's model call raises.
+        """
+        with self._model_lock:
+            while not future.done():
+                pending = self._pending
+                batch = [pending.popleft() for _ in range(min(len(pending), self._max_batch))]
+                if not batch:
+                    raise ReproError("commit() of a future this batcher never queued")
                 try:
-                    nxt = self._queue.get(timeout=timeout) if timeout else self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is None:
-                    stop = True
-                    break
-                batch.append(nxt)
-            self._process(batch)
-            if stop:
-                return
+                    self._process(batch)
+                except Exception as exc:  # fail every member still unresolved
+                    for _, member, _ in batch:
+                        if not member.done():
+                            member.set_exception(exc)
+        return future.result()
+
+    def close(self) -> None:
+        """Reject further submissions (idempotent)."""
+        self._closed = True
 
     def _process(
         self, batch: list[tuple[np.ndarray, "Future[float]", tuple[TraceContext, str | None] | None]]
     ) -> None:
         X = np.vstack([row for row, _, _ in batch])
         start = time.perf_counter()
-        try:
-            probs = self._predict(X)
-        except Exception as exc:  # propagate the failure to every waiter
-            for _, future, _ in batch:
-                future.set_exception(exc)
-            return
+        probs = self._predict(X)
         duration = time.perf_counter() - start
-        # Stitch the shared model call into every waiting request's trace
-        # before resolving the futures, so a sampled trace read right after
-        # the response always contains its predict span.
+        # Stitch the shared model call into every member's trace before
+        # resolving the futures, so a sampled trace read right after the
+        # response always contains its predict span.
         for _, _, site in batch:
             if site is not None:
                 trace, parent_id = site
@@ -189,10 +169,9 @@ class ClassifyBatcher:
                 )
         for (_, future, _), p in zip(batch, probs):
             future.set_result(float(p))
-        with self._obs_lock:
-            self.obs.add("classify_batches")
-            self.obs.add("classify_batched_requests", len(batch))
-            self.obs.observe("classify_batch", float(len(batch)))
+        self.obs.add("classify_batches")
+        self.obs.add("classify_batched_requests", len(batch))
+        self.obs.observe("classify_batch", float(len(batch)))
 
 
 def _record_meta(
@@ -232,8 +211,7 @@ class PatchDBService:
         obs: base registry (build-time history); defaults to ``ew.obs``.
             Per-request observations go to the telemetry shard router, not
             here — ``/statsz`` merges both.
-        max_batch: classify micro-batch cap.
-        batch_wait_s: classify co-batching window.
+        max_batch: largest classify batch per model call.
         telemetry: live-telemetry bundle (shard router + trace store); a
             default-configured one is created if omitted.  Pass
             ``ServeTelemetry(enabled=False)`` for the zero-instrumentation
@@ -247,7 +225,6 @@ class PatchDBService:
         model_cache: FittedModelCache | None = None,
         obs: ObsRegistry | None = None,
         max_batch: int = 64,
-        batch_wait_s: float = 0.002,
         telemetry: ServeTelemetry | None = None,
     ) -> None:
         self.ew = ew
@@ -266,7 +243,6 @@ class PatchDBService:
         self.models.obs = self._router
         self._records: list[PatchRecord] = db.records()
         self._max_batch = max_batch
-        self._batch_wait_s = batch_wait_s
         self._model: RandomForestClassifier | None = None
         self._model_key: str | None = None
         self._model_was_cached: bool | None = None
@@ -282,7 +258,7 @@ class PatchDBService:
         return natural, [int(r.is_security) for r in natural]
 
     def warm(self) -> dict:
-        """Fit or load the classify model and start the batch worker.
+        """Fit or load the classify model and build its batcher.
 
         The model is keyed by the sha256 of the served training set (sorted
         ``(sha, label)`` pairs) plus :data:`MODEL_CONFIG`, so a cache hit is
@@ -319,7 +295,6 @@ class PatchDBService:
             self._batcher = ClassifyBatcher(
                 model.decision_scores,
                 max_batch=self._max_batch,
-                max_wait_s=self._batch_wait_s,
                 obs=self._router,
             )
         return {
@@ -335,7 +310,7 @@ class PatchDBService:
         return self._model_key
 
     def close(self) -> None:
-        """Stop the classify worker (idempotent)."""
+        """Retire the classify batcher (idempotent)."""
         with self._lock:
             if self._batcher is not None:
                 self._batcher.close()
@@ -391,7 +366,7 @@ class PatchDBService:
 
         Args:
             patch_text: a ``git format-patch``/unified-diff body.
-            batched: route the prediction through the micro-batch worker
+            batched: route the prediction through the group-commit batcher
                 (the HTTP path); ``False`` predicts inline — results are
                 bit-identical, which the parity tests assert.
 
@@ -408,10 +383,10 @@ class PatchDBService:
             with trace_span("features.extract"):
                 vec = extract_features(patch)
             if batched and batcher is not None:
-                # The worker thread attaches the model.predict child span
-                # to this trace via the site captured in submit().
+                # Whichever thread runs the group's model call attaches the
+                # model.predict child span via the site captured in submit().
                 with trace_span("classify.batch"):
-                    prob = batcher.submit(vec).result(timeout=30.0)
+                    prob = batcher.commit(batcher.submit(vec))
             else:
                 with trace_span("model.predict", batched=False):
                     prob = float(model.decision_scores(vec[np.newaxis, :])[0])

@@ -1,10 +1,12 @@
 """Tests for the HTTP layer: real sockets against the warmed TINY service."""
 
+import http.client
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -133,6 +135,20 @@ class TestClassifyEndpoint:
         with pytest.raises(urllib.error.HTTPError) as exc:
             _post(base_url, "/v1/classify", "definitely not a patch")
         assert exc.value.code == 400
+
+    def test_bad_content_length_400(self, base_url):
+        host, port = urlsplit(base_url).netloc.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/classify")
+            conn.putheader("Content-Length", "abc")
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = json.loads(resp.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert resp.status == 400
+        assert "Content-Length" in body["error"]
 
     def test_post_to_unknown_route_404(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as exc:

@@ -1,6 +1,8 @@
 """Tests for the framework-independent service core (no sockets)."""
 
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from repro.core import PatchQuery
 from repro.errors import ReproError
 from repro.ml import FittedModelCache
+from repro.obs import TraceContext, activate_trace, deactivate_trace, trace_span
 from repro.serve import MODEL_CONFIG, ClassifyBatcher, PatchDBService
 
 
@@ -136,32 +139,150 @@ class TestLint:
         assert service.counter("lint.request") == before + 1
 
 
+class _Gate:
+    """Blocks the first predict call until released."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def hold(self):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(5.0)
+
+
+def _blocked_group(batcher, gate, n_queued):
+    """Submit row 0 on one thread and hold its model call on *gate* until
+    *n_queued* more threads (rows 1..n_queued) have queued behind it, then
+    release it.  Returns ``{row index: probability or exception}``."""
+    results = {}
+
+    def classify_row(i):
+        try:
+            results[i] = batcher.commit(batcher.submit(np.array([float(i), 0.0])))
+        except Exception as exc:  # noqa: BLE001 - recorded for the assertions
+            results[i] = exc
+
+    first = threading.Thread(target=classify_row, args=(0,))
+    first.start()
+    assert gate.entered.wait(5.0)
+    others = [threading.Thread(target=classify_row, args=(i,)) for i in range(1, n_queued + 1)]
+    for t in others:
+        t.start()
+    deadline = time.monotonic() + 5.0
+    while len(batcher._pending) < n_queued and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert len(batcher._pending) == n_queued
+    gate.release.set()
+    for t in [first, *others]:
+        t.join(5.0)
+    return results
+
+
 class TestBatcher:
-    def test_batches_concurrent_rows(self):
+    def test_lone_commit_predicts_at_once(self):
         calls = []
 
         def predict(X):
-            calls.append(X.shape[0])
+            calls.append((X.shape[0], threading.get_ident()))
             return X[:, 0]
 
-        batcher = ClassifyBatcher(predict, max_batch=16, max_wait_s=0.05)
-        rows = [np.array([float(i), 0.0]) for i in range(10)]
-        futures = [batcher.submit(r) for r in rows]
-        got = [f.result(timeout=5.0) for f in futures]
-        batcher.close()
-        assert got == [float(i) for i in range(10)]
-        assert sum(calls) == 10
-        assert max(calls) > 1  # at least one actual batch formed
+        batcher = ClassifyBatcher(predict)
+        future = batcher.submit(np.array([3.0, 1.0]))
+        assert not future.done()
+        # Predicted on the caller's thread, with no wait window.
+        assert batcher.commit(future) == 3.0
+        assert future.done()
+        assert calls == [(1, threading.get_ident())]
 
-    def test_predict_failure_propagates(self):
+    def test_queued_rows_share_one_call(self):
+        calls, gate = [], _Gate()
+
         def predict(X):
-            raise RuntimeError("boom")
+            calls.append(X.shape[0])
+            gate.hold()
+            return X[:, 0]
 
-        batcher = ClassifyBatcher(predict, max_batch=4, max_wait_s=0.0)
-        future = batcher.submit(np.zeros(3))
-        with pytest.raises(RuntimeError, match="boom"):
-            future.result(timeout=5.0)
-        batcher.close()
+        batcher = ClassifyBatcher(predict, max_batch=16)
+        results = _blocked_group(batcher, gate, 9)
+        assert calls == [1, 9]
+        assert results == {i: float(i) for i in range(10)}
+
+    def test_max_batch_caps_each_call(self):
+        calls, gate = [], _Gate()
+
+        def predict(X):
+            calls.append(X.shape[0])
+            gate.hold()
+            return X[:, 0]
+
+        batcher = ClassifyBatcher(predict, max_batch=4)
+        results = _blocked_group(batcher, gate, 9)
+        assert calls == [1, 4, 4, 1]
+        assert results == {i: float(i) for i in range(10)}
+
+    def test_predict_failure_fails_whole_group(self):
+        gate = _Gate()
+        failing = [True]
+
+        def predict(X):
+            gate.hold()
+            if failing[0]:
+                raise RuntimeError("boom")
+            return X[:, 0]
+
+        batcher = ClassifyBatcher(predict, max_batch=16)
+        results = _blocked_group(batcher, gate, 5)
+        assert len(results) == 6
+        for outcome in results.values():
+            assert isinstance(outcome, RuntimeError) and str(outcome) == "boom"
+        failing[0] = False
+        assert batcher.commit(batcher.submit(np.array([7.0, 0.0]))) == 7.0
+
+    def test_process_failure_still_resolves_futures(self):
+        class Broken(ClassifyBatcher):
+            def _process(self, batch):
+                raise RuntimeError("stitch failed")
+
+        batcher = Broken(lambda X: X[:, 0])
+        future = batcher.submit(np.zeros(2))
+        with pytest.raises(RuntimeError, match="stitch failed"):
+            batcher.commit(future)
+        assert future.done()
+
+    def test_commit_of_foreign_future_rejected(self):
+        calls = []
+        batcher = ClassifyBatcher(lambda X: calls.append(X) or X[:, 0])
+        with pytest.raises(ReproError):
+            batcher.commit(Future())
+        assert calls == []  # no empty batch reached the model
+
+    def test_process_receives_row_future_site_triples(self):
+        seen = []
+
+        class Recording(ClassifyBatcher):
+            def _process(self, batch):
+                seen.extend(batch)
+                super()._process(batch)
+
+        batcher = Recording(lambda X: X[:, 0])
+        row = np.array([2.0, 0.0])
+        future = batcher.submit(row)
+        batcher.commit(future)
+        trace = TraceContext()
+        token = activate_trace(trace)
+        try:
+            with trace_span("classify.batch") as span:
+                traced = batcher.submit(row)
+                batcher.commit(traced)
+        finally:
+            deactivate_trace(token)
+        assert len(seen) == 2
+        (r0, f0, site0), (r1, f1, site1) = seen
+        assert r0 is row and f0 is future and site0 is None
+        assert r1 is row and f1 is traced and site1 == (trace, span.span_id)
+        assert [s.name for s in trace.spans] == ["classify.batch", "model.predict"]
 
     def test_submit_after_close_rejected(self):
         batcher = ClassifyBatcher(lambda X: X[:, 0])
