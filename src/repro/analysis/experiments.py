@@ -49,6 +49,7 @@ from ..ml.model_cache import FittedModelCache, training_key
 from ..nvd.crawler import CrawlResult, NvdCrawler
 from ..nvd.database import NvdConfig, NvdDatabase, build_nvd
 from ..obs import ObsRegistry
+from ..persist import atomic_write
 from ..synthesis.engine import PatchSynthesizer
 from .distribution import (
     distribution_table,
@@ -299,7 +300,8 @@ class ExperimentWorld:
         it on disk makes reruns start in seconds (CI builds the SMALL
         artifact once and shares it across jobs).  *workers* parallelizes a
         cold build; *obs* becomes the returned world's registry in both the
-        build and load paths.
+        build and load paths.  The pickle is written atomically; an
+        unreadable one is rebuilt and, with *obs*, counts ``cache.corrupt``.
         """
         cache_dir = Path(cache_dir)
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -313,10 +315,11 @@ class ExperimentWorld:
                         loaded.rebind_obs(obs)
                     return loaded
             except Exception:
+                if obs is not None:
+                    obs.add("cache.corrupt")
                 path.unlink(missing_ok=True)
         built = cls(scale, seed, workers=workers, obs=obs)
-        with path.open("wb") as fh:
-            pickle.dump(built, fh)
+        atomic_write(path, lambda fh: pickle.dump(built, fh))
         return built
 
 

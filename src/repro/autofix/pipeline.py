@@ -18,14 +18,13 @@ soundness — exactly the quantity the CI gate bounds.
 
 Everything is deterministic per (path, kind): scaffold suffixes and oracle
 draws are derived from hashes of the path, so a serial run and a
-``--workers N`` run produce byte-identical manifests (the chunked pool
-mirrors :func:`repro.staticcheck.analyzer.lint_sources` — worker-local obs
-snapshots merged in chunk order, outcomes re-sorted by path).
+``--workers N`` run produce byte-identical manifests (files go through
+:func:`repro.parallel.map_chunks` in sorted-path order, like
+:func:`repro.staticcheck.analyzer.lint_sources`).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import time
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from ..errors import AutofixError, ReproError
 from ..lang.ast_nodes import IfStmt, walk
 from ..lang.parser import parse_translation_unit
 from ..obs import ObsRegistry
+from ..parallel import map_chunks
 from ..staticcheck.analyzer import CODE_SUFFIXES, analyze_source
 from ..staticcheck.checkers import Checker, make_checkers
 from ..staticcheck.dataflow import FunctionFlow
@@ -360,28 +360,23 @@ def _render_diff(before: str, after: str, path: str) -> str:
     return render_file_diff(diff_texts(before, after, path))
 
 
-# ---- chunked pool (same shape as lint_sources) ------------------------
-
-_AUTOFIX_WORKER_STATE: tuple[AutofixConfig, list[Checker]] | None = None
+# ---- per-file work (serial and pooled) -----------------------------------
 
 
-def _init_autofix_worker(config: AutofixConfig) -> None:
-    global _AUTOFIX_WORKER_STATE
-    _AUTOFIX_WORKER_STATE = (config, make_checkers(dataflow=config.dataflow))
-
-
-def _autofix_chunk(items: list[tuple[str, str, str]]) -> tuple[list[RepairOutcome], "ObsSnapshot"]:
-    """Process one chunk in a worker, timing each file into a local
-    registry whose snapshot rides back with the outcomes."""
-    assert _AUTOFIX_WORKER_STATE is not None
-    config, checkers = _AUTOFIX_WORKER_STATE
-    local = ObsRegistry()
+def _autofix(
+    state: tuple[AutofixConfig, list[Checker]],
+    items: list[tuple[str, str, str]],
+    obs: ObsRegistry,
+) -> list[RepairOutcome]:
+    """Run the loop over (path, text, kind) items, one ``autofix.file``
+    timing each, then count the outcomes."""
+    config, checkers = state
     outcomes = []
     for path, text, kind in items:
-        with local.timer("autofix.file"):
+        with obs.timer("autofix.file"):
             outcomes.append(_process_item(path, text, kind, config, checkers))
-    _count_outcomes(local, outcomes)
-    return outcomes, local.snapshot()
+    _count_outcomes(obs, outcomes)
+    return outcomes
 
 
 def _count_outcomes(obs: ObsRegistry, outcomes: list[RepairOutcome]) -> None:
@@ -407,8 +402,7 @@ def run_autofix(
             ``config.kinds`` in sorted-path order.
         config: run configuration (validated here).
         workers: >1 processes files in a chunked pool.  The report is
-            byte-identical to a serial run; pool failures fall back to
-            serial.
+            byte-identical to a serial run.
         obs: registry for the ``autofix.file`` timer and the
             ``autofix_plants``/``autofix_found``/``autofix_accepted``/
             ``autofix_crashes`` counters.
@@ -421,49 +415,16 @@ def run_autofix(
         (path, text, config.kinds[i % len(config.kinds)])
         for i, (path, text) in enumerate(ordered)
     ]
-    outcomes: list[RepairOutcome] | None = None
     with obs.span("autofix.run", files=len(tagged), workers=workers or 1):
-        if workers is not None and workers > 1 and len(tagged) >= 2 * workers:
-            with obs.timer("autofix_parallel"):
-                outcomes = _autofix_parallel(tagged, config, workers, obs)
-        if outcomes is None:
-            checkers = make_checkers(dataflow=config.dataflow)
-            outcomes = []
-            for path, text, kind in tagged:
-                with obs.timer("autofix.file"):
-                    outcomes.append(_process_item(path, text, kind, config, checkers))
-            _count_outcomes(obs, outcomes)
-    outcomes.sort(key=lambda o: o.plant.path)
-    return AutofixReport(outcomes=outcomes, config=config.to_dict())
-
-
-def _autofix_parallel(
-    tagged: list[tuple[str, str, str]],
-    config: AutofixConfig,
-    workers: int,
-    obs: ObsRegistry,
-) -> list[RepairOutcome] | None:
-    """Process *tagged* items in a process pool; None on any pool failure."""
-    n_chunks = min(len(tagged), workers * 4)
-    chunks: list[list[tuple[str, str, str]]] = [[] for _ in range(n_chunks)]
-    for i, item in enumerate(tagged):
-        chunks[i % n_chunks].append(item)
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_autofix_worker,
-            initargs=(config,),
-        ) as pool:
-            outcomes = []
-            snapshots = []
-            for part, snap in pool.map(_autofix_chunk, chunks):
-                outcomes.extend(part)
-                snapshots.append(snap)
-    except Exception:
-        return None
-    for snap in snapshots:
-        obs.merge(snap)
-    return outcomes
+        outcomes = map_chunks(
+            _autofix,
+            tagged,
+            workers=workers,
+            obs=obs,
+            name="autofix",
+            state=(config, make_checkers(dataflow=config.dataflow)),
+        )
+    return AutofixReport(outcomes=list(outcomes), config=config.to_dict())
 
 
 def autofix_world(

@@ -10,21 +10,25 @@ outside the world (synthetic patches) by their deterministic shas.
 
 Two scale features sit on top of the in-memory map:
 
-* **Chunked parallel extraction** — ``matrix(shas, workers=N)`` fans the
-  not-yet-cached shas out to a ``concurrent.futures`` process pool (the
-  extractor is pure Python, so threads would serialize on the GIL).  Each
-  worker receives the pickled world once via the pool initializer and
-  extracts whole chunks, so per-task overhead stays small.  Results are
-  identical to serial extraction; any pool failure falls back to serial.
+* **Chunked parallel extraction** — ``matrix(shas, workers=N)`` and
+  ``sequences(shas, workers=N)`` hand the not-yet-cached shas to
+  :func:`repro.parallel.map_chunks`, which fans them out to a process pool
+  when there are at least two per worker.  The pool receives the world
+  once per worker and runs the same per-sha function as the serial path,
+  so results and merged obs counters are identical to serial extraction.
+  Only pool-infrastructure failures fall back to serial (counted in
+  ``pool_fallback.extract`` / ``pool_fallback.tokenize``); an error raised
+  while extracting propagates.
 * **On-disk persistence** — an optional ``.npz`` file keyed by sha lets CLI
   runs and benchmarks reuse vectors across processes.  The file stores the
   sha list and the stacked matrix plus the ``use_repo_context`` flag; a
-  flag mismatch ignores the file rather than serving wrong vectors.
+  flag mismatch ignores the file rather than serving wrong vectors.  Saves
+  are atomic (:func:`repro.persist.atomic_write`); an unreadable file is a
+  cold cache and counts ``cache.corrupt``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import pickle
 from pathlib import Path
 
@@ -34,44 +38,58 @@ from ..corpus.world import World
 from ..features.extractor import FeatureExtractor, RepoContext
 from ..features.vector import FEATURE_COUNT
 from ..ml.tokenizer import patch_token_sequence
-from ..obs import ObsRegistry, ObsSnapshot
+from ..obs import ObsRegistry
+from ..parallel import map_chunks
 from ..patch.model import Patch
+from ..persist import atomic_write
 
 __all__ = ["PatchFeatureCache", "TokenSequenceCache"]
 
-# Per-process state for pool workers: (world, use_repo_context, extractors).
-_WORKER_STATE: tuple[World, bool, dict] | None = None
 
-
-def _init_worker(world: World, use_context: bool) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (world, use_context, {})
-
-
-def _extract_chunk(shas: list[str]) -> tuple[list[tuple[str, np.ndarray]], ObsSnapshot]:
-    """Extract one chunk in a worker, recording obs exactly like the serial
-    path (per-sha ``extract`` timer + ``vectors_extracted``) into a local
-    registry whose snapshot rides back with the results."""
-    assert _WORKER_STATE is not None
-    world, use_context, extractors = _WORKER_STATE
-    local = ObsRegistry()
+def _extract(
+    state: tuple[World, bool, dict[str, FeatureExtractor]], shas: list[str], obs: ObsRegistry
+) -> list[np.ndarray]:
+    """Feature vectors of *shas*; one ``extract`` timing and one
+    ``vectors_extracted`` count per sha.  *state* is ``(world,
+    use_repo_context, extractors)``, the last a per-repo memo: building an
+    extractor with context checks out the repository's whole head tree."""
+    world, use_context, extractors = state
     out = []
     for sha in shas:
-        label = world.label(sha)
-        extractor = extractors.get(label.repo_slug)
+        slug = world.label(sha).repo_slug
+        extractor = extractors.get(slug)
         if extractor is None:
             context = None
             if use_context:
-                files, funcs = world.repos[label.repo_slug].stats_at_head()
+                files, funcs = world.repos[slug].stats_at_head()
                 context = RepoContext(total_files=files, total_functions=funcs)
             extractor = FeatureExtractor(context)
-            extractors[label.repo_slug] = extractor
+            extractors[slug] = extractor
         patch = world.patch_for(sha)
-        with local.timer("extract"):
-            vec = extractor.extract(patch)
-        local.add("vectors_extracted")
-        out.append((sha, vec))
-    return out, local.snapshot()
+        with obs.timer("extract"):
+            out.append(extractor.extract(patch))
+        obs.add("vectors_extracted")
+    return out
+
+
+def _tokenize_patch(patch: Patch, include_context: bool, obs: ObsRegistry) -> list[str]:
+    """One patch's token sequence, timed under ``tokenize`` and counted as
+    a ``token_cache_misses``."""
+    with obs.timer("tokenize"):
+        seq = patch_token_sequence(patch, include_context)
+    obs.add("token_cache_misses")
+    return seq
+
+
+def _tokenize(state: tuple[World, bool], shas: list[str], obs: ObsRegistry) -> list[list[str]]:
+    """Token sequences of *shas*; *state* is ``(world, include_context)``."""
+    world, include_context = state
+    return [_tokenize_patch(world.patch_for(sha), include_context, obs) for sha in shas]
+
+
+def _missing(shas: list[str], cached: dict) -> list[str]:
+    """The distinct shas of *shas* not in *cached*, in first-seen order."""
+    return list(dict.fromkeys(s for s in shas if s not in cached))
 
 
 class PatchFeatureCache:
@@ -113,6 +131,7 @@ class PatchFeatureCache:
                 shas = data["shas"]
                 matrix = np.asarray(data["matrix"], dtype=np.float64)
         except Exception:
+            self.obs.add("cache.corrupt")
             return  # a corrupt cache file is just a cold cache
         if matrix.ndim != 2 or matrix.shape != (len(shas), FEATURE_COUNT):
             return
@@ -135,72 +154,30 @@ class PatchFeatureCache:
             if shas
             else np.zeros((0, FEATURE_COUNT), dtype=np.float64)
         )
-        target.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
+        # Through an open handle, so numpy keeps the temp name as given.
+        return atomic_write(
             target,
-            shas=np.array(shas, dtype="U40"),
-            matrix=matrix,
-            use_repo_context=np.array(self._use_context),
+            lambda fh: np.savez_compressed(
+                fh,
+                shas=np.array(shas, dtype="U40"),
+                matrix=matrix,
+                use_repo_context=np.array(self._use_context),
+            ),
         )
-        return target
 
     # ---- extraction -------------------------------------------------------
 
-    def _extractor_for(self, slug: str) -> FeatureExtractor:
-        extractor = self._extractors.get(slug)
-        if extractor is None:
-            context = None
-            if self._use_context:
-                files, funcs = self._world.repos[slug].stats_at_head()
-                context = RepoContext(total_files=files, total_functions=funcs)
-            extractor = FeatureExtractor(context)
-            self._extractors[slug] = extractor
-        return extractor
+    def _state(self) -> tuple[World, bool, dict[str, FeatureExtractor]]:
+        return self._world, self._use_context, self._extractors
 
     def vector(self, sha: str) -> np.ndarray:
         """The 60-dim feature vector for one commit."""
         vec = self._vectors.get(sha)
         if vec is None:
-            label = self._world.label(sha)
-            patch = self._world.patch_for(sha)
-            with self.obs.timer("extract"):
-                vec = self._extractor_for(label.repo_slug).extract(patch)
-            self._vectors[sha] = vec
-            self.obs.add("vectors_extracted")
+            vec = self._vectors[sha] = _extract(self._state(), [sha], self.obs)[0]
         else:
             self.obs.add("vector_cache_hits")
         return vec
-
-    def _extract_parallel(self, missing: list[str], workers: int) -> set[str] | None:
-        """Extract *missing* in a process pool; None on any pool failure.
-
-        Returns the set of freshly extracted shas.  Worker-local obs
-        snapshots are merged in chunk order, so the merged ``extract``
-        timings and ``vectors_extracted`` counts match a serial run.
-        """
-        # Enough chunks that stragglers rebalance, big enough to amortize IPC.
-        n_chunks = min(len(missing), workers * 4)
-        chunks = [list(c) for c in np.array_split(np.array(missing, dtype=object), n_chunks)]
-        results: dict[str, np.ndarray] = {}
-        snapshots = []
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(self._world, self._use_context),
-            ) as pool:
-                for pairs, snap in pool.map(_extract_chunk, chunks):
-                    for sha, vec in pairs:
-                        results[sha] = vec
-                    snapshots.append(snap)
-        except Exception:
-            # Nothing merged or cached yet, so the serial fallback in
-            # ``matrix`` re-extracts (and re-counts) from a clean slate.
-            return None
-        for snap in snapshots:
-            self.obs.merge(snap)
-        self._vectors.update(results)
-        return set(results)
 
     def matrix(self, shas: list[str], workers: int | None = None) -> np.ndarray:
         """Stack vectors for *shas* into an ``(N, 60)`` matrix.
@@ -213,65 +190,26 @@ class PatchFeatureCache:
         """
         if not shas:
             return np.zeros((0, FEATURE_COUNT), dtype=np.float64)
-        workers = workers if workers is not None else self.default_workers
-        fresh: set[str] = set()
-        if workers is not None and workers > 1:
-            seen: set[str] = set()
-            missing = [
-                s for s in shas if s not in self._vectors and not (s in seen or seen.add(s))
-            ]
-            # Below ~2 chunks per worker the pool costs more than it saves.
-            if len(missing) >= 2 * workers:
-                with self.obs.timer("extract_parallel"):
-                    fresh = self._extract_parallel(missing, workers) or set()
-        rows = []
-        hits = 0
-        for s in shas:
-            if s in fresh:
-                # First access of a worker-extracted sha: the worker already
-                # recorded its miss, so don't double-count it as a hit here.
-                fresh.discard(s)
-                rows.append(self._vectors[s])
-            else:
-                vec = self._vectors.get(s)
-                if vec is None:
-                    rows.append(self.vector(s))
-                else:
-                    # Same count as per-sha ``vector()`` calls, batched so
-                    # warm-cache lookups stay counter-overhead-free.
-                    hits += 1
-                    rows.append(vec)
+        missing = _missing(shas, self._vectors)
+        if missing:
+            vectors = map_chunks(
+                _extract,
+                missing,
+                workers=workers if workers is not None else self.default_workers,
+                obs=self.obs,
+                name="extract",
+                state=self._state(),
+            )
+            self._vectors.update(zip(missing, vectors))
+        # Every row but each missing sha's first is a hit, exactly as
+        # per-sha ``vector()`` calls would count them.
+        hits = len(shas) - len(missing)
         if hits:
             self.obs.add("vector_cache_hits", hits)
-        return np.vstack(rows)
+        return np.vstack([self._vectors[s] for s in shas])
 
     def __len__(self) -> int:
         return len(self._vectors)
-
-
-# Per-process state for token pool workers: (world, include_context).
-_TOKEN_WORKER_STATE: tuple[World, bool] | None = None
-
-
-def _init_token_worker(world: World, include_context: bool) -> None:
-    global _TOKEN_WORKER_STATE
-    _TOKEN_WORKER_STATE = (world, include_context)
-
-
-def _tokenize_chunk(shas: list[str]) -> tuple[list[tuple[str, list[str]]], ObsSnapshot]:
-    """Tokenize one chunk in a worker, recording obs exactly like the serial
-    path (per-sha ``tokenize`` timer + ``token_cache_misses``)."""
-    assert _TOKEN_WORKER_STATE is not None
-    world, include_context = _TOKEN_WORKER_STATE
-    local = ObsRegistry()
-    out = []
-    for sha in shas:
-        patch = world.patch_for(sha)
-        with local.timer("tokenize"):
-            seq = patch_token_sequence(patch, include_context)
-        local.add("token_cache_misses")
-        out.append((sha, seq))
-    return out, local.snapshot()
 
 
 class TokenSequenceCache:
@@ -328,6 +266,7 @@ class TokenSequenceCache:
             if not isinstance(sequences, dict):
                 return
         except Exception:
+            self.obs.add("cache.corrupt")
             return  # a corrupt cache file is just a cold cache
         self._sequences.update(sequences)
         self.obs.add("token_sequences_loaded", len(sequences))
@@ -341,15 +280,12 @@ class TokenSequenceCache:
         target = Path(path) if path is not None else self._persist_path
         if target is None:
             raise ValueError("no persist path configured for TokenSequenceCache.save")
-        target.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format": self._FORMAT,
             "include_context": self._include_context,
             "sequences": self._sequences,
         }
-        with target.open("wb") as fh:
-            pickle.dump(payload, fh)
-        return target
+        return atomic_write(target, lambda fh: pickle.dump(payload, fh))
 
     # ---- tokenization -----------------------------------------------------
 
@@ -357,11 +293,8 @@ class TokenSequenceCache:
         """The token sequence for one world commit."""
         seq = self._sequences.get(sha)
         if seq is None:
-            patch = self._world.patch_for(sha)
-            with self.obs.timer("tokenize"):
-                seq = patch_token_sequence(patch, self._include_context)
-            self._sequences[sha] = seq
-            self.obs.add("token_cache_misses")
+            state = (self._world, self._include_context)
+            seq = self._sequences[sha] = _tokenize(state, [sha], self.obs)[0]
         else:
             self.obs.add("token_cache_hits")
         return seq
@@ -375,10 +308,9 @@ class TokenSequenceCache:
         """
         seq = self._sequences.get(patch.sha)
         if seq is None:
-            with self.obs.timer("tokenize"):
-                seq = patch_token_sequence(patch, self._include_context)
-            self._sequences[patch.sha] = seq
-            self.obs.add("token_cache_misses")
+            seq = self._sequences[patch.sha] = _tokenize_patch(
+                patch, self._include_context, self.obs
+            )
         else:
             self.obs.add("token_cache_hits")
         return seq
@@ -392,67 +324,23 @@ class TokenSequenceCache:
                 ``None`` uses the cache's ``default_workers``.  Results are
                 identical to serial tokenization.
         """
-        workers = workers if workers is not None else self.default_workers
-        fresh: set[str] = set()
-        if workers is not None and workers > 1:
-            seen: set[str] = set()
-            missing = [
-                s for s in shas if s not in self._sequences and not (s in seen or seen.add(s))
-            ]
-            # Below ~2 chunks per worker the pool costs more than it saves.
-            if len(missing) >= 2 * workers:
-                with self.obs.timer("tokenize_parallel"):
-                    fresh = self._tokenize_parallel(missing, workers) or set()
-        out = []
-        hits = 0
-        for s in shas:
-            if s in fresh:
-                # First access of a worker-tokenized sha: the worker already
-                # recorded its miss, so don't double-count it as a hit here.
-                fresh.discard(s)
-                out.append(self._sequences[s])
-            else:
-                seq = self._sequences.get(s)
-                if seq is None:
-                    out.append(self.sequence(s))
-                else:
-                    # Same count as per-sha ``sequence()`` calls, batched so
-                    # warm-cache lookups stay counter-overhead-free.
-                    hits += 1
-                    out.append(seq)
+        missing = _missing(shas, self._sequences)
+        if missing:
+            sequences = map_chunks(
+                _tokenize,
+                missing,
+                workers=workers if workers is not None else self.default_workers,
+                obs=self.obs,
+                name="tokenize",
+                state=(self._world, self._include_context),
+            )
+            self._sequences.update(zip(missing, sequences))
+        # Every entry but each missing sha's first is a hit, exactly as
+        # per-sha ``sequence()`` calls would count them.
+        hits = len(shas) - len(missing)
         if hits:
             self.obs.add("token_cache_hits", hits)
-        return out
-
-    def _tokenize_parallel(self, missing: list[str], workers: int) -> set[str] | None:
-        """Tokenize *missing* in a process pool; None on any pool failure.
-
-        Returns the set of freshly tokenized shas.  Worker-local obs
-        snapshots are merged in chunk order, so the merged ``tokenize``
-        timings and ``token_cache_misses`` counts match a serial run.
-        """
-        n_chunks = min(len(missing), workers * 4)
-        chunks = [list(c) for c in np.array_split(np.array(missing, dtype=object), n_chunks)]
-        results: dict[str, list[str]] = {}
-        snapshots = []
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_token_worker,
-                initargs=(self._world, self._include_context),
-            ) as pool:
-                for pairs, snap in pool.map(_tokenize_chunk, chunks):
-                    for sha, seq in pairs:
-                        results[sha] = seq
-                    snapshots.append(snap)
-        except Exception:
-            # Nothing merged or cached yet, so the serial fallback in
-            # ``sequences`` re-tokenizes (and re-counts) from a clean slate.
-            return None
-        for snap in snapshots:
-            self.obs.merge(snap)
-        self._sequences.update(results)
-        return set(results)
+        return [self._sequences[s] for s in shas]
 
     def __len__(self) -> int:
         return len(self._sequences)

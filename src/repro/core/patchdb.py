@@ -21,7 +21,6 @@ the index.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -147,34 +146,6 @@ class PatchDB:
     def __iter__(self) -> Iterator[PatchRecord]:
         return iter(self._records)
 
-    @staticmethod
-    def _coerce_query(
-        query: PatchQuery | str | None,
-        is_security: bool | None,
-        source: str | None,
-        method: str,
-    ) -> PatchQuery:
-        """Fold the legacy ``(source, is_security)`` calling convention into
-        a :class:`PatchQuery`, warning once per deprecated call site."""
-        if isinstance(query, PatchQuery):
-            if source is not None or is_security is not None:
-                raise ReproError(
-                    f"PatchDB.{method}: pass either a PatchQuery or the legacy "
-                    "(source, is_security) arguments, not both"
-                )
-            return query
-        if query is not None:  # legacy positional source string
-            source = query
-        if source is None and is_security is None:
-            return PatchQuery()
-        warnings.warn(
-            f"PatchDB.{method}(source=..., is_security=...) is deprecated; "
-            f"pass a PatchQuery instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return PatchQuery(source=source, is_security=is_security)
-
     def _page(self, query: PatchQuery) -> list[PatchRecord]:
         """The records *query* selects, served from the cheapest path.
 
@@ -194,20 +165,12 @@ class PatchDB:
         self._obs_add("index.hit")
         return [self._records[int(i)] for i in ids[query.offset : end]]
 
-    def records(
-        self,
-        query: PatchQuery | str | None = None,
-        is_security: bool | None = None,
-        *,
-        source: str | None = None,
-    ) -> list[PatchRecord]:
+    def records(self, query: PatchQuery | None = None) -> list[PatchRecord]:
         """Records matching *query* (filter + pagination), in insertion order.
 
-        The legacy ``records(source, is_security)`` form still works but is
-        deprecated; it routes through the same :class:`PatchQuery` path.
+        ``None`` selects every record.
         """
-        query = self._coerce_query(query, is_security, source, "records")
-        return self._page(query)
+        return self._page(query if query is not None else PatchQuery())
 
     def count(self, query: PatchQuery) -> int:
         """How many records match *query*'s predicates (pagination ignored).
@@ -224,16 +187,9 @@ class PatchDB:
         self._obs_add("index.hit")
         return len(ids)
 
-    def patches(
-        self,
-        query: PatchQuery | str | None = None,
-        is_security: bool | None = None,
-        *,
-        source: str | None = None,
-    ) -> list[Patch]:
-        """Patches of the records matching *query*."""
-        query = self._coerce_query(query, is_security, source, "patches")
-        return [r.patch for r in self._page(query)]
+    def patches(self, query: PatchQuery | None = None) -> list[Patch]:
+        """Patches of the records matching *query* (``None``: every record)."""
+        return [r.patch for r in self.records(query)]
 
     def summary(self) -> dict[str, int]:
         """Headline counts matching the paper's abstract numbers.

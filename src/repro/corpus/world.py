@@ -21,16 +21,18 @@ pre-draws the global step→repo schedule and each step's security/non-security
 decision, then spawns one child seed per repository; each shard builds its
 repository's full history (seed files, commits, labels) from its own child
 stream, so shards are mutually independent and can run in a process pool
-(``build_world(config, workers=N)``).  Shard results merge in repo-index
+(``build_world(config, workers=N)``, through
+:func:`repro.parallel.map_chunks`).  Shard results merge in repo-index
 order with per-shard label-count parity checks, and the serial path replays
 the identical sharded scheme — ``workers=1`` and ``workers=N`` produce
 bit-identical worlds (same :meth:`World.digest`, same label order) and
 bit-identical obs counter reports (see DESIGN.md, "Sharded world build").
+Only pool-infrastructure failures fall back to the serial build (counted
+in ``pool_fallback.world_build``); an error inside a shard propagates.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import hashlib
 from dataclasses import dataclass, field
@@ -38,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CorpusError
-from ..obs import ObsRegistry, ObsSnapshot
+from ..obs import ObsRegistry
+from ..parallel import map_chunks
 from ..patch.model import Patch
 from ..vcs.repository import Repository
 from .codegen import CodeGenerator
@@ -318,7 +321,6 @@ class _ShardResult:
     repo: Repository
     labels: list[CommitLabel]
     stats: dict[str, int]
-    snapshot: ObsSnapshot
 
 
 def _shard_tasks(config: WorldConfig) -> list[_ShardTask]:
@@ -348,16 +350,18 @@ def _shard_tasks(config: WorldConfig) -> list[_ShardTask]:
     ]
 
 
-def _build_shard(task: _ShardTask) -> _ShardResult:
+def _build_shard(task: _ShardTask, obs: ObsRegistry | None = None) -> _ShardResult:
     """Build one repository's full history from its child seed.
 
-    Runs identically in-process and in a pool worker: observations go to a
-    local registry whose snapshot rides back for deterministic merging.
+    Runs identically in-process and in a pool worker.  *obs* receives the
+    ``world.shard`` span; the shard's commit accounting rides back in
+    :attr:`_ShardResult.stats` and becomes counters when the merge has
+    checked it.
     """
     config = task.config
     rng = np.random.default_rng(task.seed)
     gen = CodeGenerator(rng)
-    local = ObsRegistry()
+    obs = obs if obs is not None else ObsRegistry()
     stats = {
         "attempted": len(task.steps),
         "produced": 0,
@@ -366,7 +370,7 @@ def _build_shard(task: _ShardTask) -> _ShardResult:
         "security": 0,
         "nonsec": 0,
     }
-    with local.span("world.shard", repo_index=task.index, steps=len(task.steps)) as sp:
+    with obs.span("world.shard", repo_index=task.index, steps=len(task.steps)) as sp:
         slug = f"{task.owner}/{gen.module_name()}-{task.index}"
         repo = Repository(slug)
         files: dict[str, str] = {
@@ -385,7 +389,6 @@ def _build_shard(task: _ShardTask) -> _ShardResult:
             c_paths = [p for p in tree if p.endswith((".c", ".h"))]
             if not c_paths:
                 stats["skipped_no_c_paths"] += 1
-                local.add("world_commits_skipped_no_c_paths")
                 continue
             if is_security:
                 label = _apply_security(config, rng, gen, repo, tree, c_paths, step)
@@ -393,13 +396,10 @@ def _build_shard(task: _ShardTask) -> _ShardResult:
                 label = _apply_nonsec(config, rng, gen, repo, tree, c_paths, step)
             if label is None:
                 stats["skipped_exhausted"] += 1
-                local.add("world_commits_skipped_exhausted")
                 continue
             labels.append(label)
             stats["produced"] += 1
             stats["security" if is_security else "nonsec"] += 1
-        local.add("world_commits_attempted", stats["attempted"])
-        local.add("world_commits_produced", stats["produced"])
         if sp is not None:
             sp.attributes["slug"] = slug
             sp.attributes["produced"] = stats["produced"]
@@ -409,7 +409,6 @@ def _build_shard(task: _ShardTask) -> _ShardResult:
         repo=repo,
         labels=labels,
         stats=stats,
-        snapshot=local.snapshot(),
     )
 
 
@@ -421,7 +420,8 @@ def _merge_shards(
     Verifies per-shard label-count parity (attempted = produced + skips,
     one label per produced commit, every label owned by its shard's repo)
     so a lost or duplicated shard payload fails loudly instead of silently
-    shrinking the corpus.
+    shrinking the corpus, then records the checked accounting in the
+    ``world_commits_*`` counters of *obs*.
 
     Raises:
         CorpusError: on any parity violation.
@@ -455,31 +455,22 @@ def _merge_shards(
             raise CorpusError(f"shard {res.index} returned labels for a foreign repo")
         if res.slug in repos:
             raise CorpusError(f"duplicate repo slug {res.slug!r} across shards")
-        obs.merge(res.snapshot)
         repos[res.slug] = res.repo
         for lab in res.labels:
             labels[lab.sha] = lab
         shards[res.slug] = dict(stats)
         for key in totals:
             totals[key] += stats[key]
+    obs.add("world_commits_attempted", totals["attempted"])
+    obs.add("world_commits_produced", totals["produced"])
+    for skip in ("skipped_no_c_paths", "skipped_exhausted"):
+        if totals[skip]:
+            obs.add(f"world_commits_{skip}", totals[skip])
     return World(repos, labels, build_stats={**totals, "shards": shards})
 
 
-def _build_shards_parallel(
-    tasks: list[_ShardTask], workers: int
-) -> list[_ShardResult] | None:
-    """Build every shard in a process pool; None on any pool failure.
-
-    ``pool.map`` preserves task order, so merge order (and hence the world)
-    is identical to the serial path.
-    """
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_build_shard, tasks))
-    except Exception:
-        # Nothing merged yet; the serial fallback replays the identical
-        # shard plan from a clean slate.
-        return None
+def _build_shards(state: None, tasks: list[_ShardTask], obs: ObsRegistry) -> list[_ShardResult]:
+    return [_build_shard(task, obs) for task in tasks]
 
 
 def build_world(
@@ -501,12 +492,11 @@ def build_world(
     config.validate()
     obs = obs if obs is not None else ObsRegistry()
     tasks = _shard_tasks(config)
-    results: list[_ShardResult] | None = None
-    if workers is not None and workers > 1 and len(tasks) > 1:
-        with obs.timer("world_build_parallel"):
-            results = _build_shards_parallel(tasks, workers)
-    if results is None:
-        results = [_build_shard(task) for task in tasks]
+    # Shards are few and each is a whole repository history, so two are
+    # enough to use a pool.
+    results = map_chunks(
+        _build_shards, tasks, workers=workers, obs=obs, name="world_build", min_items=2
+    )
     return _merge_shards(tasks, results, obs)
 
 

@@ -3,23 +3,26 @@
 The evaluation half of the paper (Tables III, IV, VI) fits many mutually
 independent models — 16 RNNs across Table IV's seeds/datasets/variants, RF
 and RNN per Table VI train set, ten consensus classifiers for the
-uncertainty baseline.  :func:`fit_many` runs such fits through a process
-pool while keeping the results **bit-identical** to the serial loop: every
-estimator owns its RNG (a pickled :class:`numpy.random.Generator` carries
-its state into the worker), so no fit can observe another fit's draws no
-matter where or in which order it runs.
+uncertainty baseline.  :func:`fit_many` runs such fits through
+:func:`repro.parallel.map_chunks` while keeping the results
+**bit-identical** to the serial loop: every estimator owns its RNG (a
+pickled :class:`numpy.random.Generator` carries its state into the worker),
+so no fit can observe another fit's draws no matter where or in which
+order it runs.
 
-The serial path stays the zero-dependency default (``workers=None``), and
-any pool failure falls back to it — the parent's estimators are never
-mutated by a worker, so a retry starts from pristine state.
+The serial path stays the zero-dependency default (``workers=None``).
+Only pool-infrastructure failures fall back to it (counted in
+``pool_fallback.fit``) — the parent's estimators are never mutated by a
+worker, so a retry starts from pristine state.  An exception raised by an
+estimator's ``fit`` propagates.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from typing import Any, Sequence
 
-from ..obs import ObsRegistry, ObsSnapshot
+from ..obs import ObsRegistry
+from ..parallel import map_chunks
 
 __all__ = ["fit_many"]
 
@@ -29,14 +32,14 @@ __all__ = ["fit_many"]
 FitSpec = tuple[Any, Any, Any]
 
 
-def _fit_one(spec: FitSpec) -> tuple[Any, ObsSnapshot]:
-    """Fit one spec, timing it into a local registry so per-fit ``fit``
-    latencies survive the trip back from a pool worker."""
-    est, X, y = spec
-    local = ObsRegistry()
-    with local.timer("fit"):
-        est.fit(X, y)
-    return est, local.snapshot()
+def _fit(state: None, fits: list[FitSpec], obs: ObsRegistry) -> list[Any]:
+    """Fit every spec in place, one ``fit`` timing each."""
+    fitted = []
+    for est, X, y in fits:
+        with obs.timer("fit"):
+            est.fit(X, y)
+        fitted.append(est)
+    return fitted
 
 
 def fit_many(
@@ -50,6 +53,7 @@ def fit_many(
         fits: independent fit jobs.  Estimators must be picklable (all of
             ``repro.ml`` is).
         workers: process count; ``None``/``<=1`` fits serially in-place.
+            Two fits are enough to use a pool: each fit is expensive.
         obs: observability registry for ``fit`` timers and
             ``fits_serial``/``fits_parallel`` counters.
 
@@ -63,24 +67,6 @@ def fit_many(
     fits = list(fits)
     if not fits:
         return []
-    if workers is not None and workers > 1 and len(fits) > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                with obs.timer("fit_parallel"):
-                    results = list(pool.map(_fit_one, fits))
-        except Exception:
-            pass  # pool failure (pickling, resources): refit serially below
-        else:
-            fitted = []
-            for est, snap in results:
-                fitted.append(est)
-                obs.merge(snap)
-            obs.add("fits_parallel", len(fits))
-            return fitted
-    fitted = []
-    for spec in fits:
-        est, snap = _fit_one(spec)
-        obs.merge(snap)
-        fitted.append(est)
-        obs.add("fits_serial")
+    fitted = map_chunks(_fit, fits, workers=workers, obs=obs, name="fit", min_items=2)
+    obs.add("fits_parallel" if fitted.parallel else "fits_serial", len(fits))
     return fitted

@@ -4,58 +4,44 @@ The paper's best-performing shallow model for pseudo-labeling (Table III)
 and one of the two dataset-quality models (Table VI).
 
 Trees are mutually independent, so :meth:`RandomForestClassifier.fit` can
-build them in a process pool (``n_jobs``).  Every fit first pre-draws one
-seed per tree from the forest's own RNG and gives each tree a private child
+build them in a process pool (``n_jobs``) through
+:func:`repro.parallel.map_chunks`.  Every fit first pre-draws one seed per
+tree from the forest's own RNG and gives each tree a private child
 generator, which makes the serial and parallel tree sequences — and hence
 the fitted forests — bit-identical: parallelism never changes which random
-draws a tree sees, only where it runs.
+draws a tree sees, only where it runs.  Only pool-infrastructure failures
+fall back to serial (counted in ``pool_fallback.rf_tree``).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-
 import numpy as np
 
 from ..errors import ModelError
-from ..obs import ObsRegistry, ObsSnapshot
+from ..obs import ObsRegistry
+from ..parallel import map_chunks
 from .base import Classifier, check_X, check_Xy, seeded_rng
 from .split import bootstrap_indices
 from .tree import DecisionTreeClassifier
 
 __all__ = ["RandomForestClassifier"]
 
-# Per-process state for pool workers: (X, y, tree keyword arguments).
-_FOREST_STATE: tuple[np.ndarray, np.ndarray, dict] | None = None
 
-
-def _init_forest_worker(X: np.ndarray, y: np.ndarray, tree_kwargs: dict) -> None:
-    global _FOREST_STATE
-    _FOREST_STATE = (X, y, tree_kwargs)
-
-
-def _fit_one_tree(
-    X: np.ndarray, y: np.ndarray, tree_kwargs: dict, seed: int
-) -> DecisionTreeClassifier:
-    """Bootstrap and fit one tree from its pre-drawn seed."""
-    rng = np.random.default_rng(seed)
-    idx = bootstrap_indices(X.shape[0], rng=rng)
-    tree = DecisionTreeClassifier(**tree_kwargs, seed=rng)
-    tree.fit(X[idx], y[idx])
-    return tree
-
-
-def _fit_tree_chunk(seeds: list[int]) -> tuple[list[DecisionTreeClassifier], ObsSnapshot]:
-    """Fit one chunk of trees in a worker, timing each into a local registry
-    (per-tree ``rf_tree`` latencies) whose snapshot rides back with them."""
-    assert _FOREST_STATE is not None
-    X, y, tree_kwargs = _FOREST_STATE
-    local = ObsRegistry()
+def _fit_trees(
+    state: tuple[np.ndarray, np.ndarray, dict], seeds: list[int], obs: ObsRegistry
+) -> list[DecisionTreeClassifier]:
+    """Bootstrap and fit one tree per pre-drawn seed, one ``rf_tree``
+    timing each.  *state* is ``(X, y, tree keyword arguments)``."""
+    X, y, tree_kwargs = state
     trees = []
-    for s in seeds:
-        with local.timer("rf_tree"):
-            trees.append(_fit_one_tree(X, y, tree_kwargs, s))
-    return trees, local.snapshot()
+    for seed in seeds:
+        with obs.timer("rf_tree"):
+            rng = np.random.default_rng(seed)
+            idx = bootstrap_indices(X.shape[0], rng=rng)
+            tree = DecisionTreeClassifier(**tree_kwargs, seed=rng)
+            tree.fit(X[idx], y[idx])
+        trees.append(tree)
+    return trees
 
 
 class RandomForestClassifier(Classifier):
@@ -108,44 +94,17 @@ class RandomForestClassifier(Classifier):
         X, y = check_Xy(X, y)
         self._n_features = X.shape[1]
         seeds = [int(s) for s in self._rng.integers(0, np.iinfo(np.int64).max, size=self.n_estimators)]
-        if self.n_jobs is not None and self.n_jobs > 1 and self.n_estimators > 1:
-            trees = self._fit_parallel(X, y, seeds)
-            if trees is not None:
-                self.trees = trees
-                self.obs.add("rf_trees_parallel", len(trees))
-                return self
-        kwargs = self._tree_kwargs()
-        trees = []
-        for s in seeds:
-            with self.obs.timer("rf_tree"):
-                trees.append(_fit_one_tree(X, y, kwargs, s))
-        self.trees = trees
-        self.obs.add("rf_trees_serial", len(self.trees))
+        trees = map_chunks(
+            _fit_trees,
+            seeds,
+            workers=self.n_jobs,
+            obs=self.obs,
+            name="rf_tree",
+            state=(X, y, self._tree_kwargs()),
+        )
+        self.trees = list(trees)
+        self.obs.add("rf_trees_parallel" if trees.parallel else "rf_trees_serial", len(trees))
         return self
-
-    def _fit_parallel(
-        self, X: np.ndarray, y: np.ndarray, seeds: list[int]
-    ) -> list[DecisionTreeClassifier] | None:
-        """Fit trees in a process pool; None on any pool failure."""
-        # Enough chunks that stragglers rebalance, big enough to amortize IPC.
-        n_chunks = min(len(seeds), self.n_jobs * 4)
-        chunks = [list(c) for c in np.array_split(np.array(seeds, dtype=object), n_chunks)]
-        snapshots = []
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.n_jobs,
-                initializer=_init_forest_worker,
-                initargs=(X, y, self._tree_kwargs()),
-            ) as pool:
-                trees: list[DecisionTreeClassifier] = []
-                for chunk_trees, snap in pool.map(_fit_tree_chunk, chunks):
-                    trees.extend(chunk_trees)
-                    snapshots.append(snap)
-        except Exception:
-            return None
-        for snap in snapshots:
-            self.obs.merge(snap)
-        return trees
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted()

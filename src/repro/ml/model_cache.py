@@ -4,9 +4,9 @@ The Table IV/VI fits — and the serve layer's classify-on-demand model —
 are pure functions of (training shas, labels, estimator configuration).
 :class:`FittedModelCache` memoizes those fits the way
 :class:`~repro.core.cache.TokenSequenceCache` memoizes token sequences:
-an in-memory map in front of an optional pickle file, where a corrupt,
-truncated, or format-mismatched file degrades to a cold cache instead of
-an error.  Re-evaluating with a changed test set (train set unchanged)
+an in-memory map in front of an optional pickle file, written atomically,
+where a corrupt, truncated, or format-mismatched file degrades to a cold
+cache instead of an error (an unreadable one also counts ``cache.corrupt``).  Re-evaluating with a changed test set (train set unchanged)
 then costs zero training, and a warmed server classifies requests without
 ever fitting per request.
 
@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from ..obs import ObsRegistry, trace_span
+from ..persist import atomic_write
 
 __all__ = ["FittedModelCache", "training_key"]
 
@@ -92,6 +93,7 @@ class FittedModelCache:
             if not isinstance(models, dict):
                 return
         except Exception:
+            self.obs.add("cache.corrupt")
             return  # a corrupt cache file is just a cold cache
         self._models.update(models)
         self.obs.add("models_loaded", len(models))
@@ -105,11 +107,8 @@ class FittedModelCache:
         target = Path(path) if path is not None else self._persist_path
         if target is None:
             raise ValueError("no persist path configured for FittedModelCache.save")
-        target.parent.mkdir(parents=True, exist_ok=True)
         payload = {"format": self._FORMAT, "models": self._models}
-        with target.open("wb") as fh:
-            pickle.dump(payload, fh)
-        return target
+        return atomic_write(target, lambda fh: pickle.dump(payload, fh))
 
     # ---- lookup -----------------------------------------------------------
 

@@ -24,16 +24,18 @@ Three recording primitives build on each other:
   upgraded to a span.
 
 **Cross-process merge protocol.**  Process-pool workers cannot write to the
-parent's registry, so every chunked pool (feature cache, token cache,
-``fit_many``, the random forest, ``lint_sources``) has its workers record
-into a fresh local registry and pickle a :meth:`snapshot` back with each
-chunk result; the parent folds them in with :meth:`merge` in deterministic
-chunk order.  Merging adds timer seconds/calls and counters, concatenates
-histogram observations, and grafts any worker spans under the parent's
-active span — so serial and parallel runs report *identical* counters and
-timer call counts (parallel runs used to silently drop worker-side
-observations).  Merge is associative and commutative on counters and on
-histogram multisets (property-tested in ``tests/test_obs_merge.py``).
+parent's registry, so :func:`repro.parallel.map_chunks` — the one process
+pool behind world construction, the feature and token caches,
+``fit_many``, the random forest, ``lint_sources``, and autofix — has each
+worker chunk record into a fresh local registry and pickle a
+:meth:`snapshot` back with the chunk result; the parent folds them in with
+:meth:`merge` in deterministic chunk order once the pool has finished (the
+serial path records straight into the caller's registry).  Merging adds
+timer seconds/calls and counters, concatenates histogram observations, and
+grafts any worker spans under the parent's active span — so serial and
+parallel runs report *identical* counters and timer call counts.  Merge is
+associative and commutative on counters and on histogram multisets
+(property-tested in ``tests/test_obs_merge.py``).
 
 **Export.**  :meth:`to_dict` is the machine-readable summary behind the CLI
 ``--stats-json`` flag; :meth:`export_trace` writes a JSONL trace (manifest
@@ -42,8 +44,10 @@ renders back into a span tree (see :mod:`repro.trace`).
 
 Phase timer names in use: ``extract``, ``extract_parallel``, ``distance``,
 ``search``, ``verify``, ``tokenize``, ``tokenize_parallel``, ``fit``,
-``fit_parallel``, ``rf_tree``, ``lint``, ``lint_parallel``, ``gate``,
-``delta``, ``world.shard``, ``world_build_parallel``.
+``fit_parallel``, ``rf_tree``, ``rf_tree_parallel``, ``lint``,
+``lint_parallel``, ``autofix.file``, ``autofix_parallel``, ``gate``,
+``delta``, ``world.shard``, ``world_build_parallel`` (each ``*_parallel``
+timer is one :func:`~repro.parallel.map_chunks` pool attempt).
 Counter names in use: ``world_commits_attempted``,
 ``world_commits_produced``, ``world_commits_skipped_no_c_paths``,
 ``world_commits_skipped_exhausted``, ``vectors_extracted``, ``vector_cache_hits``,
@@ -58,7 +62,11 @@ id, dashes as underscores), ``variant_equiv_checks``,
 ``index.hit``, ``index.fallback`` (PatchDB queries served by the
 posting-list planner vs. the scan path), ``render_cache.hit``,
 ``render_cache.miss`` (memoized record serializations),
-``model_cache_hits``, ``model_cache_misses``, ``models_loaded``.
+``model_cache_hits``, ``model_cache_misses``, ``models_loaded``,
+``pool_fallback.<name>`` (a :func:`~repro.parallel.map_chunks` pool that
+could not start, lost a worker, or could not pickle a chunk, so ran
+serially; ``<name>`` is the pool's timer prefix), ``cache.corrupt`` (an
+unreadable persisted cache file treated as a cold cache).
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 Three entry points share one core:
 
 * :func:`analyze_source` — one (path, text) pair → :class:`FileReport`.
-* :func:`lint_sources` — many pairs, optionally fanned out to a chunked
-  process pool (same shape as the feature/token caches in
-  :mod:`repro.core.cache`: worker initializer carries the checker ids,
-  chunks amortize IPC, any pool failure falls back to serial, and results
-  are identical to a serial run).
+* :func:`lint_sources` — many pairs, fanned out to a chunked process pool
+  through :func:`repro.parallel.map_chunks` when there are at least two
+  files per worker (the checker list rides to each worker once; results
+  are identical to a serial run; only pool-infrastructure failures fall
+  back to serial, counted in ``pool_fallback.lint``).
 * :func:`lint_world` / :func:`lint_patch` — adapters that collect the
   (path, text) pairs from a corpus world's head trees or from a parsed
   patch's added lines.
@@ -18,11 +18,10 @@ Reports list files in sorted path order regardless of worker count, so
 
 from __future__ import annotations
 
-import concurrent.futures
-
-from ..obs import ObsRegistry, ObsSnapshot
+from ..obs import ObsRegistry
+from ..parallel import map_chunks
 from ..patch.model import Patch
-from .checkers import CHECKER_IDS, Checker, make_checkers
+from .checkers import Checker, make_checkers
 from .context import CheckContext
 from .model import FileReport, LintReport
 
@@ -38,28 +37,16 @@ __all__ = [
 #: File suffixes the linter considers source code.
 CODE_SUFFIXES = (".c", ".h", ".cc", ".cpp", ".hpp", ".cxx")
 
-# Per-process state for pool workers: the instantiated checker list.
-_LINT_WORKER_STATE: list[Checker] | None = None
 
-
-def _init_lint_worker(checker_ids: tuple[str, ...], dataflow: bool = True) -> None:
-    global _LINT_WORKER_STATE
-    _LINT_WORKER_STATE = make_checkers(checker_ids, dataflow=dataflow)
-
-
-def _lint_chunk(items: list[tuple[str, str, bool]]) -> tuple[list[FileReport], ObsSnapshot]:
-    """Lint one chunk in a worker, timing each file into a local registry
-    (per-file ``lint`` latencies, matching the serial path) whose snapshot
-    rides back with the reports."""
-    assert _LINT_WORKER_STATE is not None
-    local = ObsRegistry()
+def _lint(
+    checkers: list[Checker], items: list[tuple[str, str, bool]], obs: ObsRegistry
+) -> list[FileReport]:
+    """Lint (path, text, is_fragment) items, one ``lint`` timing each."""
     reports = []
     for path, source, fragment in items:
-        with local.timer("lint"):
-            reports.append(
-                analyze_source(path, source, _LINT_WORKER_STATE, is_fragment=fragment)
-            )
-    return reports, local.snapshot()
+        with obs.timer("lint"):
+            reports.append(analyze_source(path, source, checkers, is_fragment=fragment))
+    return reports
 
 
 def analyze_source(
@@ -105,7 +92,7 @@ def lint_sources(
         items: (path, text) pairs; duplicated paths are linted once each.
         checkers: suite to run; the full registry when None.
         workers: >1 lints in a process pool.  Output is identical to the
-            serial run; any pool failure silently falls back to serial.
+            serial run.
         obs: observability registry for ``lint``/``lint_parallel`` timers
             and ``files_linted``/``lint_findings`` counters.
         fragments: treat every item as a patch fragment.
@@ -114,64 +101,20 @@ def lint_sources(
     tagged = sorted(
         ((path, text, fragments) for path, text in items), key=lambda item: item[0]
     )
-    reports: list[FileReport] | None = None
-    # Below ~2 chunks per worker the pool costs more than it saves.
-    if workers is not None and workers > 1 and len(tagged) >= 2 * workers:
-        with obs.timer("lint_parallel"):
-            reports = _lint_parallel(tagged, checkers, workers, obs)
-    if reports is None:
-        checker_objs = checkers if checkers is not None else make_checkers()
-        reports = []
-        for path, text, frag in tagged:
-            with obs.timer("lint"):
-                reports.append(analyze_source(path, text, checker_objs, is_fragment=frag))
+    reports = map_chunks(
+        _lint,
+        tagged,
+        workers=workers,
+        obs=obs,
+        name="lint",
+        state=checkers if checkers is not None else make_checkers(),
+    )
     obs.add("files_linted", len(reports))
-    report = LintReport(files=reports)
+    report = LintReport(files=list(reports))
     obs.add("lint_findings", len(report.findings()))
     for checker_id, n in report.counts_by_checker().items():
         obs.add(f"lint_{checker_id.replace('-', '_')}", n)
     return report
-
-
-def _lint_parallel(
-    tagged: list[tuple[str, str, bool]],
-    checkers: list[Checker] | None,
-    workers: int,
-    obs: ObsRegistry,
-) -> list[FileReport] | None:
-    """Lint *tagged* items in a process pool; None on any pool failure.
-
-    Worker-local obs snapshots are merged in chunk order, so the merged
-    per-file ``lint`` timings match a serial run.
-    """
-    ids = tuple(c.id for c in checkers) if checkers is not None else CHECKER_IDS
-    # Workers rebuild checkers from ids, so the dataflow mode must ride
-    # along for parallel output to match a serial run of the same suite.
-    dataflow = (
-        all(getattr(c, "dataflow", True) for c in checkers) if checkers is not None else True
-    )
-    # Enough chunks that stragglers rebalance, big enough to amortize IPC.
-    n_chunks = min(len(tagged), workers * 4)
-    chunks: list[list[tuple[str, str, bool]]] = [[] for _ in range(n_chunks)]
-    for i, item in enumerate(tagged):
-        chunks[i % n_chunks].append(item)
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_lint_worker,
-            initargs=(ids, dataflow),
-        ) as pool:
-            reports = []
-            snapshots = []
-            for part, snap in pool.map(_lint_chunk, chunks):
-                reports.extend(part)
-                snapshots.append(snap)
-    except Exception:
-        return None
-    for snap in snapshots:
-        obs.merge(snap)
-    reports.sort(key=lambda fr: fr.path)
-    return reports
 
 
 def lint_world(

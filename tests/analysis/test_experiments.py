@@ -46,6 +46,19 @@ class TestExperimentWorld:
         assert a.nvd_seed_shas == b.nvd_seed_shas
         assert (tmp_path / f"expworld_tiny_{TINY.n_commits}_7.pkl").exists()
 
+    def test_corrupt_disk_cache_rebuilt_and_counted(self, tmp_path):
+        from repro.analysis.experiments import TINY, ExperimentWorld
+        from repro.obs import ObsRegistry
+
+        path = tmp_path / f"expworld_tiny_{TINY.n_commits}_7.pkl"
+        path.write_bytes(b"\x80\x04truncated")
+        obs = ObsRegistry()
+        built = ExperimentWorld.cached(TINY, seed=7, cache_dir=tmp_path, obs=obs)
+        assert obs.count("cache.corrupt") == 1
+        assert list(tmp_path.iterdir()) == [path]
+        loaded = ExperimentWorld.cached(TINY, seed=7, cache_dir=tmp_path, obs=ObsRegistry())
+        assert loaded.world.digest() == built.world.digest()
+
 
 class TestTable2:
     def test_five_rounds(self, experiment_world):

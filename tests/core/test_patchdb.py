@@ -63,33 +63,6 @@ class TestContainer:
         db = PatchDB(records)
         assert all(hasattr(p, "sha") for p in db.patches())
 
-
-class TestLegacyShim:
-    """The pre-PatchQuery call shapes still work, with a DeprecationWarning."""
-
-    def test_positional_source_warns_and_filters(self, records):
-        db = PatchDB(records)
-        with pytest.warns(DeprecationWarning):
-            got = db.records("wild")
-        assert got == db.records(PatchQuery(source="wild"))
-
-    def test_keyword_pair_warns_and_filters(self, records):
-        db = PatchDB(records)
-        with pytest.warns(DeprecationWarning):
-            got = db.records(source="wild", is_security=True)
-        assert got == db.records(PatchQuery(source="wild", is_security=True))
-
-    def test_patches_shim_warns(self, records):
-        db = PatchDB(records)
-        with pytest.warns(DeprecationWarning):
-            got = db.patches(source="nvd")
-        assert len(got) == 1
-
-    def test_mixing_query_and_legacy_args_rejected(self, records):
-        db = PatchDB(records)
-        with pytest.raises(ReproError):
-            db.records(PatchQuery(source="nvd"), is_security=True)
-
     def test_summary(self, records):
         summary = PatchDB(records).summary()
         assert summary["total"] == 5

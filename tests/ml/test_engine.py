@@ -5,6 +5,8 @@ exactly the estimator the serial path produces, because all randomness is
 pre-drawn (per-tree seeds) or self-contained (each estimator owns its RNG).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,19 @@ from repro.ml import (
     fit_many,
 )
 from repro.obs import ObsRegistry
+
+
+class _FailsInWorker:
+    """An estimator whose ``fit`` raises only outside the process that
+    built it, i.e. only in a pool worker."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+
+    def fit(self, X, y):
+        if os.getpid() != self.parent:
+            raise RuntimeError("fit failed in a worker")
+        return self
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +109,12 @@ class TestFitMany:
             [(LogisticRegression(n_iter=50 + 10 * i), X, y) for i in range(2)], workers=2, obs=obs
         )
         assert obs.count("fits_parallel") == 2
+
+    def test_worker_fit_error_propagates(self, xy):
+        # A bug inside a pool worker must surface, not be refit serially.
+        X, y = xy
+        obs = ObsRegistry()
+        with pytest.raises(RuntimeError, match="fit failed in a worker"):
+            fit_many([(_FailsInWorker(), X, y) for _ in range(2)], workers=2, obs=obs)
+        assert obs.count("fits_serial") == 0
+        assert obs.count("pool_fallback.fit") == 0

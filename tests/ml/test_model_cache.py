@@ -115,3 +115,11 @@ class TestPersistence:
     def test_save_without_path_rejected(self):
         with pytest.raises(ValueError):
             FittedModelCache().save()
+
+
+def test_garbage_pickle_counts_cache_corrupt(tmp_path):
+    path = tmp_path / "models.pkl"
+    path.write_bytes(b"\x00garbage bytes, not a pickle")
+    cache = FittedModelCache(persist_path=path)
+    assert len(cache) == 0
+    assert cache.obs.count("cache.corrupt") == 1
