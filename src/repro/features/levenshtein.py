@@ -1,9 +1,19 @@
 """Levenshtein edit distance over characters or token sequences.
 
 Used by features 49-54 of Table I: per-hunk edit distance between the
-removed and added sides, before and after token abstraction.  The DP is the
-classic two-row formulation; inputs may be strings (character distance) or
-lists of token strings (token distance).
+removed and added sides, before and after token abstraction.  Inputs may be
+strings (character distance) or sequences of hashable items such as token
+strings (token distance); items must be hashable because each distinct item
+gets its own match mask.
+
+The distance is computed with the bit-vector algorithm of G. Myers (*A fast
+bit-vector algorithm for approximate string matching based on dynamic
+programming*, JACM 1999) in H. Hyyrö's formulation for global edit distance
+(*A bit-vector algorithm for computing Levenshtein and Damerau edit
+distances*, 2003).  One DP column is held as two Python-int bit vectors of
+vertical +1/-1 deltas, so each item of the shorter input costs a handful of
+big-int operations instead of one Python-level cell per item of the longer
+input.  The result is exactly the classic DP's.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ def levenshtein(a: Sequence, b: Sequence, max_len: int = _MAX_LEN) -> int:
     """Edit distance between sequences *a* and *b*.
 
     Equal inputs return 0 immediately, and a shared prefix/suffix is
-    stripped before the DP — both standard identities that leave every
-    distance unchanged while skipping most of the quadratic work on the
+    stripped before the bit-vector pass — both standard identities that
+    leave every distance unchanged while skipping most of the work on the
     near-identical hunk sides that dominate real diffs.
 
     Args:
@@ -51,15 +61,33 @@ def levenshtein(a: Sequence, b: Sequence, max_len: int = _MAX_LEN) -> int:
     if not b:
         return len(a)
     if len(a) < len(b):
-        a, b = b, a  # keep the inner row short
-    prev = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        curr = [i] + [0] * len(b)
-        for j, item_b in enumerate(b, start=1):
-            cost = 0 if item_a == item_b else 1
-            curr[j] = min(prev[j] + 1, curr[j - 1] + 1, prev[j - 1] + cost)
-        prev = curr
-    return prev[-1]
+        a, b = b, a  # bits run over the longer side, the loop over the shorter
+    # peq[item]: bit i set where a[i] == item.
+    peq: dict = {}
+    bit = 1
+    for item in a:
+        peq[item] = peq.get(item, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    # pv/mv: rows whose vertical delta is +1/-1 (column 0 is 0, 1, ..., m).
+    pv, mv, dist = mask, 0, len(a)
+    for item in b:
+        eq = peq.get(item, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # Row 0's horizontal delta is +1 (D[0][j] = j): shift in a 1.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def normalized_levenshtein(a: Sequence, b: Sequence) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import ObsRegistry
-from ..synthesis.engine import synthesize_from_texts
+from ..synthesis.engine import _synthesize_with_sites
 from ..synthesis.variants import VARIANTS
 from .analyzer import CODE_SUFFIXES, lint_world
 from .checkers import Checker
@@ -125,9 +125,10 @@ def _check_variants(
                 continue
             before = before_tree.get(path, "")
             after = after_tree.get(path, "")
+            located: dict = {}  # each side parsed once for all 16 checks
             for variant in VARIANTS:
                 for side in ("after", "before"):
-                    result = synthesize_from_texts(before, after, path, variant, side)
+                    result = _synthesize_with_sites(located, before, after, path, variant, side)
                     if result is None:
                         continue
                     original = after if side == "after" else before

@@ -7,6 +7,10 @@ AFTER version composes the extra change *onto* the patch; modifying the
 BEFORE version composes its inverse *under* the patch (§III-C-3) — either
 way the synthetic patch embeds the original fix plus new control-flow
 scaffolding, which is exactly what the paper's oversampler produces.
+
+Locating the sites (diff plus whole-file parse) does not depend on the
+variant, so one :meth:`PatchSynthesizer.synthesize` call locates each
+``(path, side)`` once and reuses the sites for every variant it tries.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from ..corpus.world import World
 from ..diffing.unified_gen import diff_texts
 from ..errors import SynthesisError
 from ..patch.model import Patch
-from .locator import locate_ifs, touched_lines
+from .locator import LocatedIf, locate_ifs, touched_lines
 from .variants import VARIANTS, Variant, apply_variant_text
 
 __all__ = ["SyntheticPatch", "PatchSynthesizer", "synthesize_from_texts"]
@@ -75,13 +79,38 @@ def synthesize_from_texts(
     """
     if side not in ("before", "after"):
         raise SynthesisError(f"side must be 'before' or 'after', got {side!r}")
+    sites = _locate(before, after, path, side)
+    if sites is None:
+        return None
+    return _apply(before, after, path, variant, side, sites, site_index)
+
+
+def _locate(before: str, after: str, path: str, side: str) -> list[LocatedIf] | None:
+    """The ``if`` sites of one side of a file pair; None when it has no hunks.
+
+    The variant-independent, expensive half of :func:`synthesize_from_texts`
+    (a diff and a whole-file parse).
+    """
     fdiff = diff_texts(before, after, path)
     if not fdiff.hunks:
         return None
     source = before if side == "before" else after
-    sites = locate_ifs(source, touched_lines(fdiff, side))
+    return locate_ifs(source, touched_lines(fdiff, side))
+
+
+def _apply(
+    before: str,
+    after: str,
+    path: str,
+    variant: Variant,
+    side: str,
+    sites: list[LocatedIf],
+    site_index: int,
+) -> tuple[str, str] | None:
+    """Rewrite ``sites[site_index]`` with *variant*; the new (before, after)."""
     if site_index >= len(sites):
         return None
+    source = before if side == "before" else after
     stmt = sites[site_index].stmt
     # Scaffold suffixes must be stable across processes (builtin hash() is
     # salted per interpreter), or repeated builds emit different releases.
@@ -101,6 +130,30 @@ def synthesize_from_texts(
     if side == "before":
         return new_source, after
     return before, new_source
+
+
+def _synthesize_with_sites(
+    located: dict[tuple[str, str], list[LocatedIf] | None],
+    before: str,
+    after: str,
+    path: str,
+    variant: Variant,
+    side: str,
+) -> tuple[str, str] | None:
+    """:func:`synthesize_from_texts` at site 0, locating each side once.
+
+    *located* maps ``(path, side)`` to that side's sites and is filled on
+    first use.  Its owner scopes it to one file-pair lookup set (one
+    :meth:`PatchSynthesizer.synthesize` call, one gate file pair) so no
+    parse outlives the texts it was made from.
+    """
+    key = (path, side)
+    if key not in located:
+        located[key] = _locate(before, after, path, side)
+    sites = located[key]
+    if sites is None:
+        return None
+    return _apply(before, after, path, variant, side, sites, 0)
 
 
 class PatchSynthesizer:
@@ -148,6 +201,7 @@ class PatchSynthesizer:
         before_tree, after_tree = repo.before_after(sha)
         natural = self._world.patch_for(sha)
         out: list[SyntheticPatch] = []
+        located: dict[tuple[str, str], list[LocatedIf] | None] = {}
         rng = self._rng_for(sha)
         order = rng.permutation(len(VARIANTS))
         for k in range(len(VARIANTS)):
@@ -155,7 +209,9 @@ class PatchSynthesizer:
                 break
             variant = VARIANTS[int(order[k])]
             side = "after" if rng.random() < 0.7 else "before"
-            synthetic = self._synthesize_one(natural, before_tree, after_tree, variant, side, k)
+            synthetic = self._synthesize_one(
+                natural, before_tree, after_tree, variant, side, k, located
+            )
             if synthetic is not None:
                 out.append(synthetic)
         if self._memo is not None:
@@ -170,14 +226,15 @@ class PatchSynthesizer:
         variant: Variant,
         side: str,
         site_round: int,
+        located: dict[tuple[str, str], list[LocatedIf] | None],
     ) -> SyntheticPatch | None:
         for fdiff in natural.files:
             path = fdiff.path
             before = before_tree.get(path, "")
             after = after_tree.get(path, "")
-            result = synthesize_from_texts(before, after, path, variant, side, site_index=0)
+            result = _synthesize_with_sites(located, before, after, path, variant, side)
             if result is None and side == "after":
-                result = synthesize_from_texts(before, after, path, variant, "before", site_index=0)
+                result = _synthesize_with_sites(located, before, after, path, variant, "before")
                 side = "before" if result is not None else side
             if result is None:
                 continue

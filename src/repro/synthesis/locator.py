@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..errors import LexError, ParseError
 from ..lang.ast_nodes import IfStmt, walk
 from ..lang.parser import parse_translation_unit
 from ..patch.model import FileDiff
@@ -51,13 +52,14 @@ def locate_ifs(source: str, lines: set[int], allow_function_fallback: bool = Tru
     """Find ``if`` statements related to the given touched lines.
 
     Returns direct intersections first, then (optionally) same-function
-    fallbacks, each in source order.
+    fallbacks, each in source order.  Source the C parser rejects has no
+    sites; any other exception is a bug and propagates.
     """
     if not lines:
         return []
     try:
         unit = parse_translation_unit(source)
-    except Exception:
+    except (LexError, ParseError):
         return []
     direct: list[LocatedIf] = []
     fallback: list[LocatedIf] = []

@@ -1,5 +1,8 @@
 """Tests for the oversampling locator and engine."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.diffing import diff_texts
@@ -7,10 +10,13 @@ from repro.errors import SynthesisError
 from repro.synthesis import (
     VARIANTS,
     PatchSynthesizer,
+    SyntheticPatch,
     locate_ifs,
+    locator,
     synthesize_from_texts,
     touched_lines,
 )
+from repro.synthesis.engine import _synthetic_sha
 
 BEFORE = """int check(int len, int cap)
 {
@@ -66,6 +72,18 @@ class TestLocator:
 
     def test_empty_lines_no_sites(self):
         assert locate_ifs(AFTER, set()) == []
+
+    def test_unparsable_source_has_no_sites(self):
+        broken = "int f(int a) {\n    if a) return 1;\n}\n"
+        assert locate_ifs(broken, {2}) == []
+
+    def test_other_parser_errors_propagate(self, monkeypatch):
+        def buggy_parser(source):
+            raise ValueError("parser bug")
+
+        monkeypatch.setattr(locator, "parse_translation_unit", buggy_parser)
+        with pytest.raises(ValueError, match="parser bug"):
+            locate_ifs(AFTER, {5})
 
 
 class TestSynthesizeFromTexts:
@@ -150,3 +168,79 @@ class TestPatchSynthesizer:
     def test_bad_max_per_patch(self, tiny_world):
         with pytest.raises(SynthesisError):
             PatchSynthesizer(tiny_world, max_per_patch=0)
+
+
+def reference_synthesize(world, seed, sha, max_per_patch=4):
+    """PatchSynthesizer.synthesize spelled out with one public
+    synthesize_from_texts call per variant and side (no shared parses)."""
+    repo = world.repo_of(sha)
+    before_tree, after_tree = repo.before_after(sha)
+    natural = world.patch_for(sha)
+    rng = np.random.default_rng((seed, int(sha[:16], 16)))
+    order = rng.permutation(len(VARIANTS))
+    out = []
+    for k in range(len(VARIANTS)):
+        if len(out) >= max_per_patch:
+            break
+        variant = VARIANTS[int(order[k])]
+        side = "after" if rng.random() < 0.7 else "before"
+        for fdiff in natural.files:
+            path = fdiff.path
+            before, after = before_tree.get(path, ""), after_tree.get(path, "")
+            result = synthesize_from_texts(before, after, path, variant, side)
+            if result is None and side == "after":
+                result = synthesize_from_texts(before, after, path, variant, "before")
+                side = "before" if result is not None else side
+            if result is None:
+                continue
+            new_fdiff = diff_texts(result[0], result[1], path)
+            if not new_fdiff.hunks:
+                continue
+            files = tuple(new_fdiff if f.path == path else f for f in natural.files)
+            synthetic_sha = _synthetic_sha(sha, variant.variant_id, side, k)
+            patch = replace(natural, sha=synthetic_sha, files=files)
+            out.append(SyntheticPatch(patch, sha, variant.variant_id, side))
+            break
+    return out
+
+
+@pytest.fixture()
+def count_parses(monkeypatch):
+    """The sources the locator parses, one entry per whole-file parse."""
+    parsed = []
+    real = locator.parse_translation_unit
+
+    def counting(source):
+        parsed.append(source)
+        return real(source)
+
+    monkeypatch.setattr(locator, "parse_translation_unit", counting)
+    return parsed
+
+
+class TestParseOnceSynthesis:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_one_call_per_variant(self, experiment_world, seed):
+        world = experiment_world.world
+        synth = PatchSynthesizer(world, seed=seed)
+        for sha in world.security_shas():
+            assert synth.synthesize(sha) == reference_synthesize(world, seed, sha)
+
+    def test_at_most_one_parse_per_path_and_side(self, experiment_world, count_parses):
+        world = experiment_world.world
+        synth = PatchSynthesizer(world, seed=0)
+        shared = 0
+        for sha in world.security_shas():
+            count_parses.clear()
+            synth.synthesize(sha)
+            first = len(count_parses)
+            assert first <= 2 * len(world.patch_for(sha).files)
+            # No cache outlives a call: the same sha parses again.
+            count_parses.clear()
+            synth.synthesize(sha)
+            assert len(count_parses) == first
+            shared += first
+        count_parses.clear()
+        for sha in world.security_shas():
+            reference_synthesize(world, 0, sha)
+        assert 0 < shared < len(count_parses)
