@@ -1,14 +1,11 @@
 """The closed-loop autofix benchmark: find/repair rates at bench scale.
 
-Runs the find→patch→verify pipeline over the shared bench world and writes
-``BENCH_autofix.json`` for CI to archive.  Asserts the acceptance floor of
-the CI gate (repair rate, zero verifier crashes) plus serial/parallel
+Runs the find→patch→verify pipeline over the shared bench world and prints
+its rates.  Asserts the acceptance floor of the CI gate (repair rate, zero verifier crashes) plus serial/parallel
 manifest parity, and reports per-checker finder precision/recall against
 the planted ground truth.
 """
 
-import json
-import os
 import time
 
 from conftest import print_table
@@ -70,22 +67,6 @@ def test_closed_loop_repair_rate(benchmark, bench_world):
     # The finder must hold recall on every planted checker class.
     for checker, scores in summary["finder"].items():
         assert scores["recall"] >= 0.9, (checker, scores)
-
-    payload = {
-        "bench": "autofix",
-        "scale": bench_world.scale.name,
-        "max_files": MAX_FILES,
-        "loop_workers": LOOP_WORKERS,
-        "serial_s": round(serial_s, 3),
-        "parallel_s": round(pooled_s, 3),
-        "manifest_identical": serial.to_json() == pooled.to_json(),
-        "repair_rate_bar": REPAIR_RATE_BAR,
-        **summary,
-    }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_autofix.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
     benchmark.pedantic(
         lambda: autofix_world(

@@ -1,12 +1,19 @@
-"""Instrumentation overhead of the observability layer.
+"""Instrumentation overhead of the observability layer, batch and serve.
 
 The registry sits on every hot path — per-item timers in the caches, spans
 around each augmentation round, counters in the distance engine — so its
-cost has to stay negligible or nobody leaves it on.  This bench runs the
-same five-round augmentation schedule on a feature-warm cache two ways:
-with a live :class:`~repro.obs.ObsRegistry` (spans + timers + histograms)
-and with ``ObsRegistry(enabled=False)``, whose primitives are no-ops that
-still execute their ``with`` bodies.
+cost has to stay negligible or nobody leaves it on.  The batch bench runs
+the same five-round augmentation schedule on a feature-warm cache two
+ways: with a live :class:`~repro.obs.ObsRegistry` (spans + timers +
+histograms) and with ``ObsRegistry(enabled=False)``, whose primitives are
+no-ops that still execute their ``with`` bodies.
+
+The serve bench does the same for the HTTP service: the SMALL PatchDB is
+served with :class:`~repro.serve.ServeTelemetry` on (request traces, shard
+counters, latency histograms) and with ``ServeTelemetry(enabled=False)``,
+and a small threaded client drives the same endpoint mix against both.
+One :class:`~repro.ml.model_cache.FittedModelCache` is shared, so no model
+is fitted inside a pair.
 
 Estimator: the median of per-pair runtime ratios over ``REPS``
 back-to-back (enabled, disabled) pairs, order alternating.  Shared-runner
@@ -15,31 +22,55 @@ neighbors), which swamps a min- or median-of-samples comparison — but the
 two runs of one pair execute within the same ~100 ms window and see the
 same machine state, so their ratio isolates the instrumentation cost.
 
-Acceptance: the enabled registry costs under 3% over the disabled baseline,
-and observation never changes results (identical round sequences).
-Results land in ``BENCH_obs_overhead.json`` next to this file for CI to
-archive.
+The serve estimator is the median of per-(endpoint, rep) mean-latency
+ratios over ``SERVE_REPS`` paired runs.  Which mode runs first alternates
+per rep — whoever goes first pays the colder OS/allocator state — and each
+server gets a discarded warm-up pass (render cache, index memo, first-GC
+effects) before its measured window.
+
+Acceptance: telemetry costs under 3% over the disabled baseline in both
+benches, and observation never changes results (identical round
+sequences).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import statistics
+import threading
 import time
+import urllib.error
+import urllib.request
+from contextlib import contextmanager
 
 from conftest import print_table
 
+from repro.analysis.experiments import build_patchdb
+from repro.core import PatchQuery
 from repro.core.augmentation import DatasetAugmentation, SearchSet
 from repro.core.cache import PatchFeatureCache
 from repro.core.oracle import VerificationOracle
+from repro.ml.model_cache import FittedModelCache
 from repro.obs import ObsRegistry
+from repro.serve import PatchDBService, ServeTelemetry, make_server
 
 ROUNDS = 5
 WARMUP = 3
 REPS = 15
 ORACLE_SEED = 7
 MAX_OVERHEAD = 0.03
+
+SERVE_REPS = 3
+SERVE_SECONDS = 2.0
+SERVE_WARMUP_SECONDS = 0.25
+SERVE_CLIENTS = 4
+#: The load mix: (name, path); classify is appended with a patch body.
+SERVE_ENDPOINTS = (
+    ("healthz", "/healthz"),
+    ("query", "/v1/patches?limit=20"),
+    ("query_filtered", "/v1/patches?is_security=1&limit=20"),
+    ("stream", "/v1/patches.jsonl?limit=50"),
+    ("manifest", "/v1/manifest"),
+)
 
 
 def _schedule_once(cache, world, seed_shas, search_sets, obs):
@@ -109,25 +140,6 @@ def test_obs_overhead_under_3_percent(benchmark, bench_world):
     # The disabled baseline really recorded nothing.
     assert ObsRegistry(enabled=False).timers == {}
 
-    payload = {
-        "bench": "obs_overhead",
-        "scale": bench_world.scale.name,
-        "n_commits": bench_world.scale.n_commits,
-        "rounds": ROUNDS,
-        "reps": REPS,
-        "disabled_s": round(med[False], 4),
-        "enabled_s": round(med[True], 4),
-        "overhead_pct": round(max(overhead, 0.0) * 100, 2),
-        "max_overhead_pct": MAX_OVERHEAD * 100,
-        "n_spans": len(last_enabled.spans),
-        "timer_calls": last_enabled.timer_calls,
-        "counters": last_enabled.counters,
-    }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_obs_overhead.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
     # Acceptance: under 3% over the no-op baseline.
     assert overhead < MAX_OVERHEAD, (
         f"instrumentation costs {overhead:.2%} "
@@ -140,3 +152,118 @@ def test_obs_overhead_under_3_percent(benchmark, bench_world):
         iterations=1,
         warmup_rounds=0,
     )
+
+
+@contextmanager
+def _serving(ew, db, models, enabled):
+    """A started server over *db* with telemetry on or off; yields its URL."""
+    service = PatchDBService(ew, db, model_cache=models, telemetry=ServeTelemetry(enabled=enabled))
+    service.warm()  # a model-cache hit after the first call: no training
+    server = make_server(service, "127.0.0.1", 0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+
+
+def _hit(base, path, body):
+    """One request; returns ``(status, seconds)``, status ``None`` on a
+    transport error."""
+    data = body.encode("utf-8") if body is not None else None
+    request = urllib.request.Request(base + path, data=data)
+    start = time.perf_counter()
+    try:
+        with urllib.request.urlopen(request, timeout=30) as resp:
+            resp.read()
+            status = resp.status
+    except urllib.error.HTTPError as exc:
+        status = exc.code
+    except OSError:
+        status = None
+    return status, time.perf_counter() - start
+
+
+def _load(base, path, body, seconds, clients):
+    """*clients* threads hit one endpoint for *seconds*; returns the
+    latencies of 200 replies and the statuses of the rest."""
+    latencies, failures = [], []
+    lock = threading.Lock()
+    deadline = time.monotonic() + seconds
+
+    def client():
+        while time.monotonic() < deadline:
+            status, elapsed = _hit(base, path, body)
+            with lock:
+                if status == 200:
+                    latencies.append(elapsed)
+                else:
+                    failures.append(status)
+
+    threads = [threading.Thread(target=client) for _ in range(clients)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return latencies, failures
+
+
+def test_serve_telemetry_overhead_under_3_percent(benchmark, bench_world):
+    ew = bench_world
+    db = build_patchdb(ew)
+    nvd = db.records(PatchQuery(source="nvd", limit=1))[0]
+    endpoints = [(name, path, None) for name, path in SERVE_ENDPOINTS]
+    endpoints.append(("classify", "/v1/classify", db.record_mbox(nvd)))
+    models = FittedModelCache()
+    with _serving(ew, db, models, True):
+        pass  # the one cold fit, outside every pair
+
+    means = {name: {True: [], False: []} for name, _, _ in endpoints}
+    for rep in range(SERVE_REPS):
+        for enabled in (True, False) if rep % 2 == 0 else (False, True):
+            with _serving(ew, db, models, enabled) as base:
+                for _, path, body in endpoints:  # discarded warm-up pass
+                    _load(base, path, body, SERVE_WARMUP_SECONDS, SERVE_CLIENTS)
+                for name, path, body in endpoints:
+                    latencies, bad = _load(base, path, body, SERVE_SECONDS, SERVE_CLIENTS)
+                    assert bad == [], f"{name}: non-200 replies under load: {bad[:10]}"
+                    means[name][enabled].append(statistics.fmean(latencies) * 1e3)
+
+    ratios = sorted(
+        on / off for slot in means.values() for on, off in zip(slot[True], slot[False])
+    )
+    # The upper median for an even count, as the gate has always read it.
+    median = ratios[len(ratios) // 2]
+    overhead = median - 1.0
+    lines = [
+        f"scale:                 {ew.scale.name} ({len(db)} records)",
+        f"load:                  {SERVE_REPS} paired reps x {SERVE_SECONDS:g} s "
+        f"x {SERVE_CLIENTS} clients per endpoint",
+        "",
+        f"{'endpoint':<16s} {'on ms (per rep)':>28s} {'off ms (per rep)':>28s}",
+    ]
+    for name, slot in means.items():
+        on = " ".join(f"{v:8.2f}" for v in slot[True])
+        off = " ".join(f"{v:8.2f}" for v in slot[False])
+        lines.append(f"{name:<16s} {on:>28s} {off:>28s}")
+    lines += [
+        "",
+        f"median paired ratio:   {median:.4f} (over {len(ratios)} endpoint x rep pairs)",
+        f"overhead:              {overhead:8.2%}",
+    ]
+    print_table("Serve telemetry overhead (paired on/off load)", "\n".join(lines))
+
+    # Acceptance: under 3% over the telemetry-off baseline.
+    assert overhead < MAX_OVERHEAD, (
+        f"serve telemetry costs {overhead:.2%} (median paired ratio {median:.4f})"
+    )
+
+    with _serving(ew, db, models, True) as base:
+        benchmark.pedantic(
+            lambda: [_hit(base, path, body) for _, path, body in endpoints],
+            rounds=1,
+            iterations=1,
+            warmup_rounds=0,
+        )

@@ -13,14 +13,10 @@ VI for parity) both ways on one SMALL world and asserts:
 
 The engine run starts from a cold token cache so the speedup measures one
 self-contained ``repro evaluate`` invocation, not cross-run cache reuse.
-Results land in ``BENCH_ml_parallel.json`` next to this file for CI to
-archive.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from conftest import print_table
@@ -72,25 +68,6 @@ def test_engine_2x_faster_than_serial_table4(benchmark, bench_world):
     # The engine must be a pure optimization: byte-for-byte the same rows.
     assert engine4.rows == serial4.rows
     assert engine6.rows == serial6.rows
-
-    payload = {
-        "bench": "ml_parallel",
-        "scale": ew.scale.name,
-        "n_commits": ew.scale.n_commits,
-        "ml_workers": ML_WORKERS,
-        "n_seeds": N_SEEDS,
-        "table4_serial_s": round(serial_s, 3),
-        "table4_engine_s": round(engine_s, 3),
-        "speedup": round(speedup, 3),
-        "rows_identical": engine4.rows == serial4.rows and engine6.rows == serial6.rows,
-        "table4_rows": [list(r) for r in engine4.rows],
-        "table6_rows": [list(r) for r in engine6.rows],
-        "counters": ew.obs.counters,
-    }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_ml_parallel.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
     # Acceptance: >= 2x on Table IV at SMALL scale.
     assert speedup >= 2.0, (

@@ -4,20 +4,15 @@ Every ``/v1/patches`` request costs one match count plus one page.  The
 scan path walks all N records through ``PatchQuery.matches`` for the count
 and again (up to the limit) for the page; the indexed path intersects
 per-field posting lists and slices.  This bench builds the SMALL-world
-PatchDB, issues the selective-filter mix the ``bench-serve --mix
-selective`` load generator uses — a ``repo`` slug query, a ``sha`` point
-lookup, and a ``pattern_type`` filter — both ways, and asserts:
+PatchDB, issues a selective-filter mix — a ``repo`` slug query, a ``sha``
+point lookup, and a ``pattern_type`` filter — both ways, and asserts:
 
 * bit-identical results (elements and order) between scan and index, and
 * >= 10x more requests/s from the index on every selective query.
-
-Results land in ``BENCH_query_index.json`` next to this file for CI.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from conftest import print_table
@@ -53,8 +48,7 @@ def test_index_10x_faster_than_scan_on_selective_filters(benchmark, bench_world)
     db = build_patchdb(ew)
     records = list(db)
 
-    # Selective targets drawn from the dataset itself, the same way the
-    # selective bench mix samples a live server.
+    # Selective targets drawn from the dataset itself.
     probe = records[len(records) // 2]
     sec = next(r for r in records if r.is_security and r.pattern_type is not None)
     queries = {
@@ -93,18 +87,6 @@ def test_index_10x_faster_than_scan_on_selective_filters(benchmark, bench_world)
         )
 
     print_table("Posting-list planner vs full scan (count + page per request)", "\n".join(lines))
-
-    payload = {
-        "bench": "query_index",
-        "scale": ew.scale.name,
-        "n_records": len(records),
-        "min_speedup_required": MIN_SPEEDUP,
-        "queries": rows,
-    }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_query_index.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
     for row in rows:
         assert row["speedup"] >= MIN_SPEEDUP, (

@@ -5,8 +5,7 @@ sharded builder (`build_world(config, workers=N)`) fans per-repository
 history generation out to a process pool and merges deterministically, so
 it must be a *pure* optimization: identical `World.digest()`, identical
 label order, identical merged obs counters.  This bench builds the SMALL
-world both ways, asserts bit-identity, and records the measured speedup in
-``BENCH_world_build.json`` for CI to archive.
+world both ways, asserts bit-identity, and prints the measured speedup.
 
 The speedup assertion needs real cores: on a single-CPU runner the pool
 can only time-slice, so the >= 1.8x bar is enforced only when the process
@@ -15,7 +14,6 @@ has >= 2 CPUs available (parity is asserted unconditionally).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -68,29 +66,6 @@ def test_sharded_build_parity_and_speedup(benchmark):
     assert sharded_world.build_stats == serial_world.build_stats
     assert sharded_obs.counters == serial_obs.counters
     assert sharded_obs.calls("world.shard") == serial_obs.calls("world.shard")
-
-    payload = {
-        "bench": "world_build",
-        "scale": scale.name,
-        "n_commits": scale.n_commits,
-        "n_repos": scale.n_repos,
-        "build_workers": BUILD_WORKERS,
-        "cpus_available": cpus,
-        "serial_s": round(serial_s, 3),
-        "sharded_s": round(sharded_s, 3),
-        "speedup": round(speedup, 3),
-        "world_digest": sharded_world.digest(),
-        "digest_identical": sharded_world.digest() == serial_world.digest(),
-        "counters_identical": sharded_obs.counters == serial_obs.counters,
-        "commits_attempted": stats["attempted"],
-        "commits_produced": stats["produced"],
-        "commits_skipped": stats["skipped_no_c_paths"] + stats["skipped_exhausted"],
-        "counters": sharded_obs.counters,
-    }
-    out_path = os.path.join(os.path.dirname(__file__), "BENCH_world_build.json")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
     # Acceptance: >= 1.8x at SMALL with 4 workers — on hardware that can
     # actually run the shards concurrently.

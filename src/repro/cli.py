@@ -14,8 +14,6 @@ Commands:
 * ``trace``     — render an exported run trace (span tree + top phases).
 * ``serve``     — stand up the long-running HTTP service (query/classify/
   manifest endpoints) over a built world + PatchDB.
-* ``bench-serve`` — drive the service with the load generator and write
-  per-endpoint req/s + latency quantiles to ``BENCH_serve.json``.
 
 Shared flags come from two parent parsers instead of per-subcommand
 re-declarations: ``_world_parent()`` (``--scale``/``--seed``/``--workers``/
@@ -528,7 +526,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _make_service(args: argparse.Namespace, obs: ObsRegistry):
-    """Build the world + dataset + warmed service behind serve/bench-serve.
+    """Build the world + dataset + warmed service behind ``repro serve``.
 
     Honors the shared world flags (``--world-cache`` makes restarts load a
     pickle instead of rebuilding), loads the dataset from ``--patchdb``
@@ -604,154 +602,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_serve_overhead(args: argparse.Namespace, obs: ObsRegistry) -> int:
-    """The ``bench-serve --overhead`` mode: paired telemetry on/off load.
-
-    Builds the world + dataset once, then repeatedly stands the service up
-    with telemetry enabled and disabled (the model cache makes each warm a
-    no-op) and drives the same endpoint mix against both.  Writes
-    ``BENCH_serve_obs.json`` and fails when the median paired ratio
-    exceeds ``--overhead-gate``.
-    """
-    import threading
-
-    from .serve import PatchDBService, ServeTelemetry, make_server
-    from .serve.bench import run_overhead
-
-    if args.url:
-        print("FAIL: --overhead measures an in-process server; omit --url", file=sys.stderr)
-        return 1
-    with obs.span("cli.bench_serve_overhead", scale=args.scale, seed=args.seed):
-        seed_service = _make_service(args, obs)
-    seed_service.close()
-    ew, db, models = seed_service.ew, seed_service.db, seed_service.models
-
-    def factory(enabled: bool):
-        svc = PatchDBService(
-            ew,
-            db,
-            model_cache=models,
-            obs=obs,
-            max_batch=args.max_batch,
-            telemetry=ServeTelemetry(
-                enabled=enabled,
-                trace_tail=args.trace_store,
-                slow_threshold_s=args.slow_ms / 1000.0,
-            ),
-        )
-        svc.warm()  # model-cache hit: no training
-        server = make_server(svc, "127.0.0.1", 0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-
-        def cleanup() -> None:
-            server.shutdown()
-            server.server_close()
-            svc.close()
-
-        return base, cleanup
-
-    print(
-        f"measuring telemetry overhead ({args.overhead_reps} paired reps, "
-        f"{args.duration}s x {args.concurrency} clients per endpoint)",
-        file=sys.stderr,
-    )
-    payload = run_overhead(
-        factory,
-        reps=args.overhead_reps,
-        duration_s=args.duration,
-        concurrency=args.concurrency,
-    )
-    payload["created_unix"] = time.time()
-    payload["meta"] = {
-        "scale": args.scale,
-        "seed": args.seed,
-        "records": len(db),
-        "gate": args.overhead_gate,
-    }
-    out = Path(args.output if args.output != "BENCH_serve.json" else "BENCH_serve_obs.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(
-        f"telemetry overhead: {payload['overhead'] * 100:+.2f}% "
-        f"(median ratio {payload['median_ratio']:.4f} over {len(payload['ratios'])} pairs)"
-    )
-    print(f"wrote {out}", file=sys.stderr)
-    if payload["overhead"] > args.overhead_gate:
-        print(
-            f"FAIL: telemetry overhead {payload['overhead']:.4f} exceeds "
-            f"gate {args.overhead_gate}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    import threading
-
-    from .serve import make_server
-    from .serve.bench import render_results, run_load, selective_endpoints, write_bench
-
-    start = time.perf_counter()
-    obs = ObsRegistry()
-    if args.overhead:
-        return _bench_serve_overhead(args, obs)
-    service = server = None
-    if args.url:
-        base = args.url.rstrip("/")
-    else:
-        with obs.span("cli.bench_serve", scale=args.scale, seed=args.seed):
-            service = _make_service(args, obs)
-            server = make_server(service, "127.0.0.1", 0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-    print(
-        f"load-testing {base} ({args.mix} mix, {args.duration}s x "
-        f"{args.concurrency} clients per endpoint)",
-        file=sys.stderr,
-    )
-    try:
-        endpoints = None
-        if args.mix == "selective":
-            endpoints = selective_endpoints(base)
-            if not endpoints:
-                print("FAIL: could not sample a record for the selective mix", file=sys.stderr)
-                return 1
-        results = run_load(
-            base, endpoints=endpoints, duration_s=args.duration, concurrency=args.concurrency
-        )
-    finally:
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        if service is not None:
-            service.close()
-    print(render_results(results))
-    meta = {
-        "url": base,
-        "duration_s": args.duration,
-        "concurrency": args.concurrency,
-        "mix": args.mix,
-        "in_process": server is not None,
-    }
-    if service is not None:
-        meta.update(scale=args.scale, seed=args.seed, records=len(service.db))
-    path = write_bench(args.output, results, meta=meta)
-    print(f"wrote {path}", file=sys.stderr)
-    manifest: dict = {"format": "repro-run-manifest-v1", "command": "bench-serve", **meta}
-    if service is not None:
-        manifest = service.ew.manifest(command="bench-serve", **meta)
-    manifest["wall_clock_s"] = round(time.perf_counter() - start, 3)
-    _emit_observability(args, obs, manifest)
-    n_5xx = sum(r.n_5xx for r in results)
-    n_errors = sum(r.errors for r in results)
-    if n_5xx or n_errors:
-        print(f"FAIL: {n_5xx} server errors, {n_errors} transport errors", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _obs_parent() -> argparse.ArgumentParser:
     """Parent parser: the shared observability flags of every world command."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -806,50 +656,6 @@ def _world_parent(feature_cache: bool = True) -> argparse.ArgumentParser:
     return parent
 
 
-def _serve_parent() -> argparse.ArgumentParser:
-    """Parent parser: the service construction flags shared by
-    ``serve`` and ``bench-serve``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--patchdb",
-        default=None,
-        metavar="JSONL",
-        help="serve this PatchDB release instead of running the construction pipeline",
-    )
-    parent.add_argument(
-        "--model-cache",
-        default=None,
-        metavar="PKL",
-        help="persist/reuse the fitted classify model at this pickle path "
-        "(keyed by training-set sha; corrupt files degrade to a cold fit)",
-    )
-    parent.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="largest classify batch per model call",
-    )
-    parent.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable request tracing and live metrics (the overhead baseline)",
-    )
-    parent.add_argument(
-        "--trace-store",
-        type=int,
-        default=256,
-        metavar="N",
-        help="tail ring size of the live trace store (/v1/traces)",
-    )
-    parent.add_argument(
-        "--slow-ms",
-        type=float,
-        default=250.0,
-        help="latency threshold for slow-request trace sampling",
-    )
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing).
 
@@ -861,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     obs_parent = _obs_parent()
     world_parent = _world_parent()
-    serve_parent = _serve_parent()
 
     p_build = sub.add_parser(
         "build",
@@ -1017,61 +822,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="serve PatchDB over HTTP (query/classify/manifest endpoints)",
-        parents=[world_parent, serve_parent, obs_parent],
+        parents=[world_parent, obs_parent],
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
         "--port", type=int, default=8127, help="listen port (0 picks a free one)"
     )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_bench = sub.add_parser(
-        "bench-serve",
-        help="load-test the service and write BENCH_serve.json",
-        parents=[world_parent, serve_parent, obs_parent],
-    )
-    p_bench.add_argument(
-        "--url",
+    p_serve.add_argument(
+        "--patchdb",
         default=None,
-        help="bench an already-running server instead of spawning one in-process",
+        metavar="JSONL",
+        help="serve this PatchDB release instead of running the construction pipeline",
     )
-    p_bench.add_argument(
-        "--duration", type=float, default=3.0, help="seconds of load per endpoint"
+    p_serve.add_argument(
+        "--model-cache",
+        default=None,
+        metavar="PKL",
+        help="persist/reuse the fitted classify model at this pickle path "
+        "(keyed by training-set sha; corrupt files degrade to a cold fit)",
     )
-    p_bench.add_argument(
-        "--concurrency", type=int, default=4, help="client threads per endpoint"
-    )
-    p_bench.add_argument(
-        "--mix",
-        choices=("default", "selective"),
-        default="default",
-        help="endpoint mix: the standard paged/streamed load, or high-"
-        "selectivity filters (repo/sha/pattern_type/cve_id) served by the index",
-    )
-    p_bench.add_argument(
-        "--output", default="BENCH_serve.json", metavar="JSON", help="results path"
-    )
-    p_bench.add_argument(
-        "--overhead",
-        action="store_true",
-        help="measure tracing+metrics cost with paired telemetry on/off runs "
-        "and write BENCH_serve_obs.json instead of a plain load test",
-    )
-    p_bench.add_argument(
-        "--overhead-gate",
-        type=float,
-        default=0.03,
-        metavar="RATIO",
-        help="fail when the median paired overhead exceeds this (0.03 = 3%%)",
-    )
-    p_bench.add_argument(
-        "--overhead-reps",
+    p_serve.add_argument(
+        "--max-batch",
         type=int,
-        default=3,
-        metavar="N",
-        help="paired on/off repetitions in --overhead mode",
+        default=64,
+        help="largest classify batch per model call",
     )
-    p_bench.set_defaults(func=_cmd_bench_serve)
+    p_serve.add_argument(
+        "--no-telemetry",
+        action="store_true",
+        help="disable request tracing and live metrics (the overhead baseline)",
+    )
+    p_serve.add_argument(
+        "--trace-store",
+        type=int,
+        default=256,
+        metavar="N",
+        help="tail ring size of the live trace store (/v1/traces)",
+    )
+    p_serve.add_argument(
+        "--slow-ms",
+        type=float,
+        default=250.0,
+        help="latency threshold for slow-request trace sampling",
+    )
+    p_serve.set_defaults(func=_cmd_serve)
 
     p_trace = sub.add_parser(
         "trace", help="render an exported run trace (span tree + top phases)"

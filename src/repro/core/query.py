@@ -2,7 +2,7 @@
 
 :class:`PatchQuery` is the one filter object shared by every consumer of
 the dataset — :meth:`repro.core.patchdb.PatchDB.records`, the CLI
-(``stats``, ``serve``, ``bench-serve``), and the HTTP query-string parser
+(``stats``, ``serve``), and the HTTP query-string parser
 of :mod:`repro.serve` — replacing the scattered positional
 ``(source, is_security)`` keyword pairs that used to be re-implemented at
 each call site.  A query is a plain frozen dataclass, so it pickles, hashes

@@ -17,20 +17,11 @@ Layering:
   trace store, and the Prometheus exposition behind ``/metrics``.
 * :mod:`repro.serve.http` — route translation, per-request trace
   propagation (``X-Repro-Trace-Id``), and the server itself.
-* :mod:`repro.serve.bench` — the load generator behind ``bench-serve``
-  and the CI smoke job (writes ``BENCH_serve.json``), plus the paired
-  telemetry-overhead runner (``BENCH_serve_obs.json``).
+
+The service is load-tested by the repository's committed benchmark
+(``bench/run.py --workload classify|query``), not by code in this package.
 """
 
-from .bench import (
-    BenchEndpoint,
-    EndpointResult,
-    default_endpoints,
-    run_load,
-    run_overhead,
-    selective_endpoints,
-    write_bench,
-)
 from .http import TRACE_HEADER, PatchDBServer, make_server
 from .service import MODEL_CONFIG, ClassifyBatcher, PatchDBService
 from .telemetry import (
@@ -43,9 +34,7 @@ from .telemetry import (
 )
 
 __all__ = [
-    "BenchEndpoint",
     "ClassifyBatcher",
-    "EndpointResult",
     "LATENCY_BUCKETS",
     "MODEL_CONFIG",
     "PatchDBServer",
@@ -54,12 +43,7 @@ __all__ = [
     "ShardedObs",
     "TRACE_HEADER",
     "TraceStore",
-    "default_endpoints",
     "make_server",
     "parse_exposition",
     "render_metrics",
-    "run_load",
-    "run_overhead",
-    "selective_endpoints",
-    "write_bench",
 ]

@@ -215,7 +215,8 @@ class PatchDBService:
         telemetry: live-telemetry bundle (shard router + trace store); a
             default-configured one is created if omitted.  Pass
             ``ServeTelemetry(enabled=False)`` for the zero-instrumentation
-            baseline of the overhead benchmark.
+            baseline of the paired overhead test
+            (``benchmarks/test_obs_overhead.py``).
     """
 
     def __init__(

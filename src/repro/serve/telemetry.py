@@ -28,7 +28,7 @@ lock-free on the request hot path:
   ``_count``/``_sum`` are exact (the histogram window evicts raw values,
   never the running count/total), gauges for service identity, and every
   merged obs counter as ``repro_counter_total``.  :func:`parse_exposition`
-  is the matching grammar checker — the CI smoke job and the hypothesis
+  is the matching grammar checker — the HTTP tests and the hypothesis
   law tests both gate on it.
 
 :class:`ServeTelemetry` ties the three together for
@@ -136,7 +136,7 @@ class ShardedObs:
 
     Args:
         enabled: ``False`` turns every shard into a disabled registry —
-            the zero-cost baseline of the overhead benchmark.
+            the zero-cost baseline of the paired overhead test.
         hist_window: per-shard histogram window (see
             :class:`~repro.obs.ObsRegistry`).
         span_cap: per-shard span cap.
@@ -624,7 +624,8 @@ class ServeTelemetry:
 
     Args:
         enabled: ``False`` disables everything — no traces, no shard
-            writes — the paired baseline of ``bench-serve --overhead``.
+            writes — the baseline of the paired telemetry on/off test in
+            ``benchmarks/test_obs_overhead.py``.
         hist_window: per-shard histogram window (raw latency samples kept
             per phase; exact count/total always preserved).
         span_cap: per-shard registry span cap.

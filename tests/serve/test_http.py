@@ -243,6 +243,65 @@ class TestStatsAccounting:
         assert gained(mid, after, "render_cache.miss") == 0
 
 
+class TestConcurrentLoad:
+    """Four clients on every route at once: all 200s, every request counted."""
+
+    CLIENTS = 4
+    ROUNDS = 2
+
+    def test_every_route_200_and_counted(self, base_url, service, patch_text):
+        sha = service.db.records()[0].patch.sha
+        gets = [
+            "/healthz",
+            "/statsz",
+            "/metrics",
+            "/v1/manifest",
+            "/v1/summary",
+            "/v1/patches?limit=20",
+            "/v1/patches?is_security=1&limit=20",
+            f"/v1/patches?sha={sha}",
+            "/v1/patches?limit=2&include_patch=1",
+            "/v1/patches.jsonl?limit=10",
+            "/v1/traces",
+        ]
+        posts = ["/v1/classify", "/v1/lint"]
+        requests = [(path, None) for path in gets] + [(path, patch_text) for path in posts]
+        statuses: list[tuple[str, int]] = []
+        lock = threading.Lock()
+
+        def client():
+            for _ in range(self.ROUNDS):
+                for path, body in requests:
+                    data = body.encode("utf-8") if body is not None else None
+                    req = urllib.request.Request(f"{base_url}{path}", data=data)
+                    try:
+                        with urllib.request.urlopen(req, timeout=30) as resp:
+                            resp.read()
+                            status = resp.status
+                    except urllib.error.HTTPError as exc:
+                        status = exc.code
+                    with lock:
+                        statuses.append((path, status))
+
+        before = service.telemetry.merged()
+        threads = [threading.Thread(target=client) for _ in range(self.CLIENTS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        after = service.telemetry.merged()
+
+        sent = self.CLIENTS * self.ROUNDS * len(requests)
+        assert len(statuses) == sent
+        assert [s for s in statuses if s[1] != 200] == []
+        assert after.count("http_5xx") == before.count("http_5xx")
+        # Each request is folded into telemetry before its response is
+        # complete, so once every client has read its reply the count is
+        # exact.
+        assert after.count("http_requests") - before.count("http_requests") == sent
+
+
 class TestTraceHeader:
     @pytest.mark.parametrize(
         "path", ["/healthz", "/statsz", "/metrics", "/v1/manifest", "/v1/patches?limit=1"]
@@ -291,9 +350,11 @@ class TestMetricsEndpoint:
         by_name = {l["name"]: v for l, v in samples["repro_counter_total"]}
         # The scrape and /statsz read racing shards at different instants;
         # counters only grow, and the later /statsz read must be >= the
-        # scrape for everything the scrape saw (minus its own request).
-        for name in ("http_requests", "http_healthz"):
-            assert stats["counters"][name] >= by_name[name] > 0
+        # scrape for every http_* counter the scrape saw.
+        http_counters = {n: v for n, v in by_name.items() if n.startswith("http_")}
+        assert by_name["http_requests"] > 0 and by_name["http_healthz"] > 0
+        for name, value in http_counters.items():
+            assert stats["counters"][name] >= value, name
         total = sum(v for _, v in samples["repro_http_requests_total"])
         assert total == by_name["http_requests"]
         gauges = {n: s[0][1] for n, s in samples.items() if not n.startswith("repro_http")}

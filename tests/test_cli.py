@@ -54,7 +54,6 @@ class TestParser:
             "autofix",
             "trace",
             "serve",
-            "bench-serve",
         ],
     )
     def test_subcommands_exist(self, cmd):
@@ -79,11 +78,6 @@ class TestParser:
         assert args.port == 0
         assert args.model_cache == "m.pkl"
         assert args.max_batch == 8
-
-    def test_bench_serve_flags(self):
-        args = build_parser().parse_args(["bench-serve", "--duration", "0.5"])
-        assert args.duration == 0.5
-        assert args.output == "BENCH_serve.json"
 
 
 class TestMissingFileErrors:
@@ -288,38 +282,38 @@ class TestAugmentAndTrace:
         capsys.readouterr()
 
 
-class TestBenchServe:
-    def test_in_process_bench_writes_results(self, tmp_path, capsys):
-        import json
+class TestMakeService:
+    """``repro serve`` construction: a cold fit persists, a restart loads it."""
 
-        out = tmp_path / "BENCH_serve.json"
-        code = main(
+    def test_model_cache_cold_fit_then_cached(self, tmp_path, capsys):
+        from repro.cli import _make_service
+        from repro.obs import ObsRegistry
+
+        model_cache = tmp_path / "models.pkl"
+        args = build_parser().parse_args(
             [
-                "bench-serve",
+                "serve",
                 "--scale",
                 "tiny",
-                "--duration",
-                "0.2",
-                "--concurrency",
-                "2",
+                "--world-cache",
+                str(tmp_path / "world"),
                 "--model-cache",
-                str(tmp_path / "models.pkl"),
-                "--output",
-                str(out),
+                str(model_cache),
             ]
         )
-        assert code == 0  # zero 5xx, zero transport errors
-        captured = capsys.readouterr()
-        assert "req/s" in captured.out
-        payload = json.loads(out.read_text())
-        assert payload["format"] == "repro-bench-serve-v1"
-        assert payload["total_requests"] > 0
-        assert payload["total_5xx"] == 0
-        names = {row["endpoint"] for row in payload["endpoints"]}
-        assert {"healthz", "query", "stream", "classify"} <= names
-        for row in payload["endpoints"]:
-            assert row["latency_ms"]["p50"] <= row["latency_ms"]["p95"]
-        assert (tmp_path / "models.pkl").exists()  # cold fit was persisted
+        cold = _make_service(args, ObsRegistry())
+        cold.close()
+        assert cold.manifest()["model_cached"] is False
+        assert cold.telemetry.merged().calls("model_fit") == 1
+        assert model_cache.exists()  # the cold fit was persisted
+        assert "cold fit" in capsys.readouterr().err
+
+        warm = _make_service(args, ObsRegistry())
+        warm.close()
+        assert warm.manifest()["model_cached"] is True
+        assert warm.telemetry.merged().calls("model_fit") == 0
+        assert warm.model_key == cold.model_key
+        assert "cache hit" in capsys.readouterr().err
 
 
 DIRTY_C = "void f(void) {\n    strcpy(dst, src);\n    int _SYS_left = 0;\n}\n"
