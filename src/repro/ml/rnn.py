@@ -5,9 +5,35 @@ tanh recurrent layer whose state carries context between tokens, masked
 mean-pooling over time, and a logistic head.  Training is full
 backpropagation-through-time with Adam and gradient clipping — no deep
 learning framework involved.
+
+The training kernel is exact: for the same data and seed it reproduces the
+parameters, Adam moments, ``loss_history`` and probabilities of a plain
+per-timestep BPTT (frozen as the oracle in ``tests/ml/test_rnn.py``) bit
+for bit, so fitted models cached under ``_rnn_key``
+(:mod:`repro.analysis.experiments`) stay valid.  That holds for embedding
+and hidden widths of at least 2.  With a width of 1, NumPy turns some
+products into matrix-vector calls whose operand strides differ, and sums
+some axes pairwise, so the two agree only to rounding.  It is fast because:
+
+* each batch stops at its longest row: :func:`encode_batch` masks are
+  prefixes, so later steps would only add exact zeros;
+* work that does not depend on the recurrence (the input projection, the
+  pooling gradient, the tanh gate) runs once per batch, outside the time
+  loops, and the loops themselves are a few in-place ufuncs on reused
+  buffers;
+* the parameter gradients are summed after the loop from the stored
+  per-step gradients.
+
+Exactness rules for changing it: elementwise work may move out of the
+loops, and a per-step gemm may become a slice of a stacked
+``np.matmul``.  The order in which a sum accumulates, and the layout of a
+gemm's operands (``Whh.T`` is a transposed view, not a contiguous copy),
+may not change: either picks other floating-point roundings.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -52,6 +78,8 @@ class RNNClassifier:
     ) -> None:
         if min(embedding_dim, hidden_dim, max_len, vocab_size, epochs, batch_size) < 1:
             raise ModelError("invalid hyperparameters")
+        if vocab_size < 2:
+            raise ModelError("vocab_size must leave room for PAD and UNK (>= 2)")
         self.embedding_dim = embedding_dim
         self.hidden_dim = hidden_dim
         self.max_len = max_len
@@ -102,13 +130,14 @@ class RNNClassifier:
         self._init_params(len(self.vocab))
         ids, mask = encode_batch(self.vocab, sequences, self.max_len)
         n = ids.shape[0]
+        ws = _Workspace()
         self.loss_history = []
         for _ in range(self.epochs):
             order = self._rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, self.batch_size):
                 batch = order[start : start + self.batch_size]
-                loss = self._train_step(ids[batch], mask[batch], y[batch])
+                loss = self._train_step(ids[batch], mask[batch], y[batch], ws)
                 epoch_loss += loss * len(batch)
             self.loss_history.append(epoch_loss / n)
         return self
@@ -133,33 +162,52 @@ class RNNClassifier:
     # ------------------------------------------------------------------
 
     def _forward(
-        self, ids: np.ndarray, mask: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """Run the RNN; returns (p1, pooled, cache-for-backprop)."""
-        p = self._params
-        b_sz, t_len = ids.shape
-        h = np.zeros((b_sz, self.hidden_dim))
-        hs = np.zeros((t_len + 1, b_sz, self.hidden_dim))  # hs[0] = h_{-1} = 0
-        h_tildes = np.zeros((t_len, b_sz, self.hidden_dim))
-        xs = p["E"][ids]  # (B, T, e)
-        for t in range(t_len):
-            a = xs[:, t] @ p["Wxh"] + h @ p["Whh"] + p["bh"]
-            h_tilde = np.tanh(a)
-            m = mask[:, t : t + 1]
-            h = m * h_tilde + (1.0 - m) * h
-            h_tildes[t] = h_tilde
-            hs[t + 1] = h
-        denom = mask.sum(axis=1, keepdims=True)
-        pooled = (hs[1:].transpose(1, 0, 2) * mask[:, :, None]).sum(axis=1) / denom
-        logit = pooled @ p["w"] + p["b"][0]
-        p1 = sigmoid(logit)
-        cache = {"ids": ids, "mask": mask, "xs": xs, "hs": hs, "h_tildes": h_tildes, "denom": denom, "pooled": pooled}
-        return p1, pooled, cache
+        self, ids: np.ndarray, mask: np.ndarray, ws: "_Workspace"
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Run the RNN over the batch's real timesteps.
 
-    def _train_step(self, ids: np.ndarray, mask: np.ndarray, y: np.ndarray) -> float:
+        Returns ``(p1, pooled, xs, hs)``: the time-major embeddings ``xs``
+        (steps, B, e) and states ``hs`` (steps + 1, B, h), ``hs[0]`` the zero
+        initial state, are views into *ws* that the backward pass reads.
+        """
         p = self._params
-        b_sz, t_len = ids.shape
-        p1, pooled, cache = self._forward(ids, mask)
+        b_sz = ids.shape[0]
+        e, hd = self.embedding_dim, self.hidden_dim
+        denom = mask.sum(axis=1, keepdims=True)
+        # Masks are prefixes, so every column past the longest row is padding
+        # whose steps change nothing.
+        steps = int(denom.max())
+        # Vocabulary ids are in range, so "clip" never clips; it only spares
+        # the buffered copy that the default mode makes with ``out``.
+        xs = ws.view("xs", steps, b_sz, e)
+        np.take(p["E"], ids.T[:steps], axis=0, mode="clip", out=xs)
+        xw = np.matmul(xs, p["Wxh"], out=ws.view("xw", steps, b_sz, hd))
+        hs = ws.view("hs", steps + 1, b_sz, hd)
+        hs[0] = 0.0
+        a = ws.view("step", b_sz, hd)
+        bh = ws.view("bh", b_sz, hd)
+        bh[...] = p["bh"]  # a same-shape add is cheaper than a broadcast one
+        whh = p["Whh"]
+        # No mask blend: a row past its end computes throwaway states, which
+        # every later use multiplies by a zero (its mask or its gradient).
+        for t in range(steps):
+            np.matmul(hs[t], whh, out=a)
+            np.add(xw[t], a, out=a)
+            np.add(a, bh, out=a)
+            np.tanh(a, out=hs[t + 1])
+        masked = np.multiply(hs[1:], mask.T[:steps, :, None], out=xw)  # xw is dead
+        pooled = masked.sum(axis=0) / denom
+        logit = pooled @ p["w"] + p["b"][0]
+        return sigmoid(logit), pooled, xs, hs
+
+    def _train_step(
+        self, ids: np.ndarray, mask: np.ndarray, y: np.ndarray, ws: "_Workspace"
+    ) -> float:
+        p = self._params
+        b_sz = ids.shape[0]
+        e, hd = self.embedding_dim, self.hidden_dim
+        p1, pooled, xs, hs = self._forward(ids, mask, ws)
+        steps = xs.shape[0]
         eps = 1e-9
         loss = float(-np.mean(y * np.log(p1 + eps) + (1 - y) * np.log(1 - p1 + eps)))
 
@@ -169,22 +217,39 @@ class RNNClassifier:
         grads["b"][0] = dlogit.sum()
         dpooled = np.outer(dlogit, p["w"])  # (B, h)
 
-        hs, h_tildes, xs = cache["hs"], cache["h_tildes"], cache["xs"]
-        denom = cache["denom"]
-        dh_next = np.zeros((b_sz, self.hidden_dim))
-        dE_rows: list[tuple[np.ndarray, np.ndarray]] = []
-        for t in range(t_len - 1, -1, -1):
-            m = mask[:, t : t + 1]
-            dh = dh_next + dpooled * (m / denom)
-            da = (dh * m) * (1.0 - h_tildes[t] ** 2)
-            grads["Wxh"] += xs[:, t].T @ da
-            grads["Whh"] += hs[t].T @ da
-            grads["bh"] += da.sum(axis=0)
-            dx = da @ p["Wxh"].T
-            dE_rows.append((ids[:, t], dx))
-            dh_next = da @ p["Whh"].T + dh * (1.0 - m)
-        for row_ids, dx in dE_rows:
-            np.add.at(grads["E"], row_ids, dx)
+        # The non-recurrent factors of every step, hoisted out of the loop:
+        # the pooling gradient and the tanh gate 1 - h~^2.
+        scale = (mask / mask.sum(axis=1, keepdims=True)).T[:steps, :, None]
+        dpool = np.multiply(dpooled, scale, out=ws.view("dpool", steps, b_sz, hd))
+        gate = np.square(hs[1:], out=ws.view("gate", steps, b_sz, hd))
+        np.subtract(1.0, gate, out=gate)
+
+        # da[k] belongs to step t = steps - 1 - k, the order BPTT visits them.
+        # A row past its end has a zero pooling weight there and masks are
+        # prefixes, so its dh is an exact zero: the gate needs no mask, and
+        # the carry is da @ Whh.T alone.
+        da = ws.view("da", steps, b_sz, hd)
+        dh = ws.view("step", b_sz, hd)
+        carry = ws.view("carry", b_sz, hd)
+        carry[...] = 0.0
+        whh_t = p["Whh"].T
+        for k in range(steps):
+            t = steps - 1 - k
+            np.add(carry, dpool[t], out=dh)
+            np.multiply(dh, gate[t], out=da[k])
+            np.matmul(da[k], whh_t, out=carry)
+
+        # Parameter gradients: one gemm per step, as stacked matmuls, summed
+        # in the same t-descending order as per-step accumulation would.
+        grads["Wxh"] = np.matmul(
+            xs[::-1].transpose(0, 2, 1), da, out=ws.view("gWxh", steps, e, hd)
+        ).sum(axis=0)
+        grads["Whh"] = np.matmul(
+            hs[steps - 1 :: -1].transpose(0, 2, 1), da, out=ws.view("gWhh", steps, hd, hd)
+        ).sum(axis=0)
+        grads["bh"] = da.sum(axis=1).sum(axis=0)
+        dx = np.matmul(da, p["Wxh"].T, out=ws.view("dx", steps, b_sz, e))
+        np.add.at(grads["E"], ids.T[steps - 1 :: -1].ravel(), dx.reshape(-1, e))
         grads["E"][0] = 0.0  # PAD stays zero
 
         self._adam_update(grads)
@@ -215,10 +280,11 @@ class RNNClassifier:
         if not sequences:
             return np.zeros((0, 2))
         probs: list[np.ndarray] = []
+        ws = _Workspace()
         for start in range(0, len(sequences), 256):
             chunk = sequences[start : start + 256]
             ids, mask = encode_batch(self.vocab, chunk, self.max_len)
-            p1, _, _ = self._forward(ids, mask)
+            p1, _, _, _ = self._forward(ids, mask, ws)
             probs.append(p1)
         p1 = np.concatenate(probs)
         return np.column_stack([1.0 - p1, p1])
@@ -231,3 +297,25 @@ class RNNClassifier:
         """Convenience: tokenize patches (optionally via a shared
         :class:`~repro.core.cache.TokenSequenceCache`) then predict."""
         return self.predict(self._tokenize(patches, cache))
+
+
+class _Workspace:
+    """Scratch buffers shared by the steps of one ``fit`` or ``predict_proba`` call.
+
+    Each named buffer is flat, allocated on first use and grown only when a
+    batch needs more than any before it, so the time loops allocate
+    nothing and a fit allocates a handful of buffers, not one per step.  The
+    workspace lives in the call's frame, never on the estimator, so it is
+    neither pickled nor cached.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, *shape: int) -> np.ndarray:
+        """A C-contiguous array of *shape* over the front of buffer *name*."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)

@@ -67,6 +67,10 @@ class Vocabulary:
     min_count: int = 2
     _index: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.max_size < 2:
+            raise ModelError("max_size must leave room for PAD and UNK (>= 2)")
+
     def fit(self, sequences: list[list[str]]) -> "Vocabulary":
         """Build the vocabulary from training sequences."""
         counts: dict[str, int] = {}
@@ -74,7 +78,7 @@ class Vocabulary:
             for tok in seq:
                 counts[tok] = counts.get(tok, 0) + 1
         ranked = sorted(
-            (t for t, c in counts.items() if c >= self.min_count),
+            (t for t, c in counts.items() if c >= self.min_count and t not in (PAD, UNK)),
             key=lambda t: (-counts[t], t),
         )
         self._index = {PAD: 0, UNK: 1}
@@ -86,10 +90,14 @@ class Vocabulary:
         return len(self._index)
 
     def encode(self, sequence: list[str], max_len: int) -> np.ndarray:
-        """Map tokens to ids, truncated/padded to *max_len*."""
+        """Map tokens to ids, truncated/padded to *max_len*.
+
+        Only padding maps to id 0: a literal PAD token in the input is
+        unknown, so :func:`encode_batch` masks are always prefixes.
+        """
         if not self._index:
             raise ModelError("Vocabulary is not fitted")
-        ids = [self._index.get(t, 1) for t in sequence[:max_len]]
+        ids = [self._index.get(t, 1) or 1 for t in sequence[:max_len]]
         ids.extend([0] * (max_len - len(ids)))
         return np.asarray(ids, dtype=np.int64)
 
@@ -97,7 +105,10 @@ class Vocabulary:
 def encode_batch(
     vocab: Vocabulary, sequences: list[list[str]], max_len: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode sequences into (ids, mask) arrays of shape ``(B, max_len)``."""
+    """Encode sequences into (ids, mask) arrays of shape ``(B, max_len)``.
+
+    Each mask row is a prefix of ones (the row's tokens) followed by zeros.
+    """
     ids = np.vstack([vocab.encode(seq, max_len) for seq in sequences])
     mask = (ids != 0).astype(np.float64)
     # Guarantee at least one unmasked position so pooling never divides by 0.

@@ -95,6 +95,9 @@ class TestFitMany:
         parallel = fit_many([(RNNClassifier(epochs=2, seed=5), seqs, y)], workers=2)[0]
         assert np.array_equal(serial.predict_proba(seqs), parallel.predict_proba(seqs))
         assert serial.loss_history == parallel.loss_history
+        assert serial._params.keys() == parallel._params.keys()
+        for key, value in serial._params.items():
+            assert np.array_equal(value, parallel._params[key]), key
 
     def test_empty_input(self):
         assert fit_many([]) == []
