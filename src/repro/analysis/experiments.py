@@ -809,7 +809,16 @@ def _run_table6(
         )
         fits.append((rnn, _sequences(ew, train_shas, engine), y_train))
         keys.append(_rnn_key(train_shas, y_train, eff_epochs, seed))
-    fitted = _fit_through_cache(fits, keys, model_cache, ml_workers, ew.obs)
+    # Dispatch the largest training set first, so that a pool starts the
+    # longest fit (the NVD+Wild RNN) at once rather than behind the NVD
+    # fits.  Each fit owns its RNG: the order changes no row.
+    order = sorted(range(len(fits)), key=lambda i: -len(fits[i][2]))
+    dispatched = _fit_through_cache(
+        [fits[i] for i in order], [keys[i] for i in order], model_cache, ml_workers, ew.obs
+    )
+    fitted = [None] * len(fits)
+    for i, model in zip(order, dispatched):
+        fitted[i] = model
 
     result = Table6Result()
     for i, train_name in enumerate(train_sets):

@@ -39,9 +39,13 @@ def _parse_functions_cached(text: str) -> tuple[FunctionDef, ...]:
 def function_spans(text: str) -> list[FunctionDef]:
     """Function definitions in *text* (empty if parsing finds none).
 
-    Parsing is memoized on the file text: the world builder re-reads the
-    same (unchanged) file many times across retries and commits, and the
-    cache turns the build from quadratic to near-linear in commit count.
+    Parsing is memoized on the file text.  Within one build that seldom
+    pays: a cold TINY build (seed 2021) makes 470 calls and hits 8, since
+    almost every commit changes the file it reads next.  The memo pays when
+    the same corpus is rebuilt in a process that already holds its parses
+    (the test suite rebuilds TINY worlds), and only while that corpus fits
+    in its 1024 entries: a SMALL build parses 4692 distinct files, so a
+    rebuild hits no more often than a cold build.
     """
     return list(_parse_functions_cached(text))
 

@@ -41,28 +41,27 @@ from .tokens import TYPE_KEYWORDS, Token, TokenKind
 
 __all__ = ["parse_translation_unit", "parse_function_body", "find_if_statements"]
 
-_OPEN_FOR_CLOSE = {")": "(", "]": "[", "}": "{"}
+_OPEN = frozenset("([{")
+_CLOSE = frozenset(")]}")
+_CLOSE_FOR_OPEN = {"(": ")", "[": "]", "{": "}"}
+_IDENTIFIER = TokenKind.IDENTIFIER
+_KEYWORD = TokenKind.KEYWORD
+
+
+def _code_tokens(source: str) -> list[Token]:
+    # Default tokenize() output holds no COMMENT or NEWLINE tokens.
+    return [t for t in tokenize(source) if t.kind is not TokenKind.PREPROCESSOR]
 
 
 def parse_translation_unit(source: str, path: str = "") -> TranslationUnit:
     """Parse a full C/C++ file into a :class:`TranslationUnit`."""
-    tokens = [
-        t
-        for t in tokenize(source)
-        if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.PREPROCESSOR)
-    ]
-    parser = _Parser(tokens, source)
+    parser = _Parser(_code_tokens(source), source)
     return parser.parse_unit(path)
 
 
 def parse_function_body(source: str) -> BlockStmt:
     """Parse a brace-delimited block (``{...}``) in isolation."""
-    tokens = [
-        t
-        for t in tokenize(source)
-        if t.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.PREPROCESSOR)
-    ]
-    parser = _Parser(tokens, source)
+    parser = _Parser(_code_tokens(source), source)
     if not parser.at("{"):
         raise ParseError("function body must start with '{'")
     return parser.parse_block()
@@ -78,10 +77,18 @@ def find_if_statements(unit: TranslationUnit) -> list[IfStmt]:
 
 
 class _Parser:
-    """Token cursor with the recursive-descent routines."""
+    """Token cursor with the recursive-descent routines.
+
+    The hot routines (``parse_block``, ``parse_statement``,
+    ``_parse_simple``, ``skip_balanced``, ``_try_function_def``) work on
+    local copies of the cursor and on :attr:`texts`, the token texts, rather
+    than through the cursor helpers; the rest use the helpers.
+    """
 
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
+        self.texts = [t.text for t in tokens]
+        self.n = len(tokens)
         self.pos = 0
         self.source_lines = source.splitlines()
 
@@ -123,19 +130,23 @@ class _Parser:
         and returns the final token as the close.
         """
         open_tok = self.expect(open_text)
-        close_text = {"(": ")", "[": "]", "{": "}"}[open_text]
+        close_text = _CLOSE_FOR_OPEN[open_text]
+        texts = self.texts
+        n = self.n
+        pos = self.pos
         depth = 1
-        last = open_tok
-        while not self.eof():
-            tok = self.next()
-            last = tok
-            if tok.text == open_text:
+        while pos < n:
+            text = texts[pos]
+            pos += 1
+            if text == open_text:
                 depth += 1
-            elif tok.text == close_text:
+            elif text == close_text:
                 depth -= 1
                 if depth == 0:
-                    return open_tok, tok
-        return open_tok, last
+                    self.pos = pos
+                    return open_tok, self.tokens[pos - 1]
+        self.pos = pos
+        return open_tok, self.tokens[pos - 1]
 
     def text_between(self, first: Token, last: Token) -> str:
         """Exact source text from *first* through *last* (token-inclusive)."""
@@ -166,26 +177,23 @@ class _Parser:
         A definition looks like ``<decl tokens> name ( params ) { body }``
         with no ``;`` between the ``)`` and the ``{``.
         """
+        tokens = self.tokens
+        texts = self.texts
+        n = self.n
         start = self.pos
         # Scan forward for 'ident (' ... ') {' without hitting ';' or '}' at
         # depth 0 first.
-        i = self.pos
-        name_idx = -1
-        n = len(self.tokens)
+        i = start
         while i < n:
-            tok = self.tokens[i]
-            if tok.text in (";", "}", "="):
-                break
-            if (
-                tok.kind is TokenKind.IDENTIFIER
-                and i + 1 < n
-                and self.tokens[i + 1].text == "("
-            ):
+            text = texts[i]
+            if text == ";" or text == "}" or text == "=":
+                return None
+            if i + 1 < n and texts[i + 1] == "(" and tokens[i].kind is _IDENTIFIER:
                 # Find matching ')' and check for '{'.
                 depth = 0
                 j = i + 1
                 while j < n:
-                    t = self.tokens[j].text
+                    t = texts[j]
                     if t == "(":
                         depth += 1
                     elif t == ")":
@@ -193,37 +201,35 @@ class _Parser:
                         if depth == 0:
                             break
                     j += 1
-                if j < n and depth == 0:
+                if j < n:
                     k = j + 1
                     # Allow qualifiers between ')' and '{' (const, noexcept).
-                    while k < n and self.tokens[k].kind is TokenKind.KEYWORD:
+                    while k < n and tokens[k].kind is _KEYWORD:
                         k += 1
-                    if k < n and self.tokens[k].text == "{":
-                        name_idx = i
-                        params_open, params_close = i + 1, j
-                        body_idx = k
-                        break
-                i = j if j > i else i + 1
+                    if k < n and texts[k] == "{":
+                        return self._function_def(start, i, j, k)
+                i = j
                 continue
             i += 1
-        if name_idx < 0:
-            self.pos = start
-            return None
+        return None
 
-        name_tok = self.tokens[name_idx]
+    def _function_def(
+        self, start: int, name_idx: int, params_close: int, body_idx: int
+    ) -> FunctionDef:
+        """The definition whose name, ``)`` and ``{`` sit at these indices."""
+        tokens = self.tokens
         ret_text = (
-            self.text_between(self.tokens[start], self.tokens[name_idx - 1])
+            self.text_between(tokens[start], tokens[name_idx - 1])
             if name_idx > start
             else ""
         )
-        params_text = self.text_between(self.tokens[params_open], self.tokens[params_close])
+        params_text = self.text_between(tokens[name_idx + 1], tokens[params_close])
         self.pos = body_idx
         body = self.parse_block()
-        first = self.tokens[start]
         return FunctionDef(
-            start_line=first.line,
+            start_line=tokens[start].line,
             end_line=body.end_line,
-            name=name_tok.text,
+            name=self.texts[name_idx],
             params_text=params_text,
             return_type_text=ret_text.strip(),
             body=body,
@@ -251,53 +257,53 @@ class _Parser:
     # ---- statements -----------------------------------------------------
 
     def parse_block(self) -> BlockStmt:
-        open_tok = self.expect("{")
+        # Every caller stands on the '{'.
+        tokens = self.tokens
+        texts = self.texts
+        n = self.n
+        open_tok = tokens[self.pos]
+        self.pos += 1
         stmts: list[Stmt] = []
-        while not self.eof() and not self.at("}"):
-            stmts.append(self.parse_statement())
-        close_tok = self.next() if not self.eof() else self.tokens[-1]
+        parse_statement = self.parse_statement
+        while self.pos < n and texts[self.pos] != "}":
+            stmts.append(parse_statement())
+        if self.pos < n:
+            close_tok = tokens[self.pos]
+            self.pos += 1
+        else:
+            close_tok = tokens[-1]
         return BlockStmt(open_tok.line, close_tok.line, stmts=stmts)
 
     def parse_statement(self) -> Stmt:
-        tok = self.peek()
-        assert tok is not None
-        if tok.text == "{":
+        pos = self.pos
+        n = self.n
+        # A statement cut off at EOF fails here with a bare AssertionError;
+        # lint findings (and so the pinned classify output) carry it.
+        assert pos < n
+        tok = self.tokens[pos]
+        text = tok.text
+        if text == "{":
             return self.parse_block()
-        if tok.kind is TokenKind.KEYWORD:
-            handler = {
-                "if": self._parse_if,
-                "while": self._parse_while,
-                "do": self._parse_do,
-                "for": self._parse_for,
-                "switch": self._parse_switch,
-                "return": self._parse_return,
-                "goto": self._parse_goto,
-                "break": self._parse_break,
-                "continue": self._parse_continue,
-                "case": self._parse_case,
-                "default": self._parse_case,
-                "else": None,  # dangling else: treat as opaque
-            }.get(tok.text, self._parse_simple)
-            if handler is None:
-                return self._parse_simple()
-            return handler()
-        if tok.text == ";":
-            self.next()
+        kind = tok.kind
+        if kind is _KEYWORD:
+            return self._KEYWORD_STATEMENTS.get(text, _Parser._parse_simple)(self)
+        if text == ";":
+            self.pos = pos + 1
             return NullStmt(tok.line, tok.line)
         # Label: 'ident :' not followed by ':' (avoid '::').
-        nxt = self.peek(1)
+        texts = self.texts
         if (
-            tok.kind is TokenKind.IDENTIFIER
-            and nxt is not None
-            and nxt.text == ":"
-            and (self.peek(2) is None or self.peek(2).text != ":")
+            kind is _IDENTIFIER
+            and pos + 1 < n
+            and texts[pos + 1] == ":"
+            and (pos + 2 >= n or texts[pos + 2] != ":")
         ):
-            self.next()
-            self.next()
-            if self.eof() or self.at("}"):
-                return LabelStmt(tok.line, tok.line, name=tok.text, stmt=None)
+            pos += 2
+            self.pos = pos
+            if pos >= n or texts[pos] == "}":
+                return LabelStmt(tok.line, tok.line, name=text, stmt=None)
             inner = self.parse_statement()
-            return LabelStmt(tok.line, inner.end_line, name=tok.text, stmt=inner)
+            return LabelStmt(tok.line, inner.end_line, name=text, stmt=inner)
         return self._parse_simple()
 
     def _parse_paren_expr(self) -> tuple[Expr, Token, Token]:
@@ -440,31 +446,50 @@ class _Parser:
 
     def _parse_simple(self) -> Stmt:
         """Expression or declaration statement: consume to ';' at depth 0."""
-        first = self.next()
-        last = first
-        depth = 0
-        is_decl = first.kind is TokenKind.KEYWORD and first.text in TYPE_KEYWORDS
-        if first.kind is TokenKind.IDENTIFIER:
-            nxt = self.peek()
+        tokens = self.tokens
+        texts = self.texts
+        n = self.n
+        pos = self.pos
+        first = tokens[pos]
+        pos += 1
+        kind = first.kind
+        if kind is _KEYWORD:
+            is_decl = first.text in TYPE_KEYWORDS
+        else:
             # 'Type name ...' or 'Type *name ...' heuristics.
-            if nxt is not None and (
-                nxt.kind is TokenKind.IDENTIFIER
-                or (nxt.text == "*" and self.peek(1) is not None and self.peek(1).kind is TokenKind.IDENTIFIER)
-            ):
-                is_decl = True
-        while not self.eof():
-            if depth == 0 and self.at(";"):
-                self.next()
-                break
-            if depth == 0 and self.at("}"):
-                break  # unterminated statement at block end
-            tok = self.next()
-            last = tok
-            if tok.text in ("(", "[", "{"):
+            is_decl = kind is _IDENTIFIER and pos < n and (
+                tokens[pos].kind is _IDENTIFIER
+                or (texts[pos] == "*" and pos + 1 < n and tokens[pos + 1].kind is _IDENTIFIER)
+            )
+        depth = 0
+        while pos < n:
+            text = texts[pos]
+            if depth == 0 and (text == ";" or text == "}"):
+                break  # a '}' ends an unterminated statement at block end
+            pos += 1
+            if text in _OPEN:
                 depth += 1
-            elif tok.text in (")", "]", "}"):
-                depth = max(0, depth - 1)
+            elif text in _CLOSE and depth:
+                depth -= 1
+        last = tokens[pos - 1]
+        self.pos = pos + 1 if pos < n and texts[pos] == ";" else pos
         text = self.text_between(first, last)
         if is_decl:
             return DeclStmt(first.line, last.line, text=text)
         return ExprStmt(first.line, last.line, text=text)
+
+    #: Statement parsers by leading keyword; any other keyword (a dangling
+    #: ``else`` included) starts a simple statement.
+    _KEYWORD_STATEMENTS = {
+        "if": _parse_if,
+        "while": _parse_while,
+        "do": _parse_do,
+        "for": _parse_for,
+        "switch": _parse_switch,
+        "return": _parse_return,
+        "goto": _parse_goto,
+        "break": _parse_break,
+        "continue": _parse_continue,
+        "case": _parse_case,
+        "default": _parse_case,
+    }

@@ -196,25 +196,28 @@ def _parse_hunk(reader: _LineReader) -> Hunk:
             continue
         marker, text = (raw[0], raw[1:]) if raw else (" ", "")
         if marker == "+":
-            lines.append(Line(LineKind.ADDED, text))
-            new_seen += 1
+            kind, old_step, new_step = LineKind.ADDED, 0, 1
         elif marker == "-":
-            lines.append(Line(LineKind.REMOVED, text))
-            old_seen += 1
+            kind, old_step, new_step = LineKind.REMOVED, 1, 0
         elif marker == " " or raw == "":
-            lines.append(Line(LineKind.CONTEXT, text))
-            old_seen += 1
-            new_seen += 1
+            kind, old_step, new_step = LineKind.CONTEXT, 1, 1
         else:
             raise PatchFormatError(f"unexpected line inside hunk: {raw!r}", reader.line_no)
+        old_seen += old_step
+        new_seen += new_step
+        if old_seen > ocount or new_seen > ncount:
+            raise PatchFormatError(
+                f"hunk body overruns its header counts ({ocount},{ncount}): {raw!r}",
+                reader.line_no,
+            )
+        lines.append(Line(kind, text))
         reader.next()
     # Trailing "\ No newline" marker after the final body line.
     tail = reader.peek()
     if tail is not None and tail.startswith("\\"):
         reader.next()
-    hunk = Hunk(ostart, ocount, nstart, ncount, tuple(lines), section)
-    hunk.validate()
-    return hunk
+    # The loop stops on exactly the declared counts, so the hunk validates.
+    return Hunk(ostart, ocount, nstart, ncount, tuple(lines), section)
 
 
 def render_file_diff(diff: FileDiff) -> str:

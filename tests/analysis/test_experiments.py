@@ -167,10 +167,26 @@ class TestEngineParity:
         engine = run_table4(experiment_world, n_seeds=1, ml_workers=2)
         assert serial.rows == engine.rows
 
-    def test_table6_engine_matches_serial(self, experiment_world):
+    def test_table6_engine_matches_serial(self, experiment_world, monkeypatch):
+        import repro.analysis.experiments as experiments
+
+        dispatched = []
+        fit_many = experiments.fit_many
+
+        def recording(fits, workers=None, obs=None):
+            dispatched.append([len(y) for _, _, y in fits])
+            return fit_many(fits, workers=workers, obs=obs)
+
+        monkeypatch.setattr(experiments, "fit_many", recording)
         serial = run_table6(experiment_world)
         engine = run_table6(experiment_world, ml_workers=2)
         assert serial.rows == engine.rows
+        # Largest training set first (both fits of NVD+Wild, then NVD's);
+        # the rows still come out NVD first.
+        assert len(dispatched) == 2
+        for sizes in dispatched:
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+        assert [row[0] for row in engine.rows] == ["NVD"] * 4 + ["NVD+Wild"] * 4
 
     def test_world_default_ml_workers_inherited(self, experiment_world):
         # ml_workers=1 runs the engine (token cache, staged fits, synthesis

@@ -75,3 +75,25 @@ def listing_1() -> str:
 def listing_2() -> str:
     """The paper's Listing 2 (non-security patch in systemd)."""
     return LISTING_2
+
+
+OVERRUN_HUNK_PATCH = """commit 0123456789abcdef0123456789abcdef01234567
+Author: Dev Three <d3@example.org>
+Date:   Wed Jan 8 10:00:00 2020 +0000
+
+    hunk body longer than its header says
+
+diff --git a/a.c b/a.c
+--- a/a.c
++++ b/a.c
+@@ -1,1 +1,1 @@
+-a
+-b
++c
+"""
+
+
+@pytest.fixture()
+def overrun_patch() -> str:
+    """A patch whose hunk has two removed lines under an old count of 1."""
+    return OVERRUN_HUNK_PATCH

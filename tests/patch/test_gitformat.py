@@ -71,6 +71,13 @@ class TestErrors:
         with pytest.raises(PatchFormatError):
             parse_patch("not a patch at all\nmore lines\n")
 
+    def test_overrunning_hunk_raises_at_first_extra_line(self, overrun_patch):
+        # '-b' is the second removed line under an old count of 1; it is
+        # line 6 of the diff body.
+        message = r"^line 6: hunk body overruns its header counts \(1,1\): '-b'$"
+        with pytest.raises(PatchFormatError, match=message):
+            parse_patch(overrun_patch)
+
 
 class TestRoundTrips:
     def test_log_round_trip(self, listing_1):

@@ -128,6 +128,20 @@ class TestParse:
         with pytest.raises(PatchFormatError):
             parse_file_diffs(text)
 
+    @pytest.mark.parametrize(
+        "header, body",
+        [
+            ("@@ -1,1 +1,1 @@", ["-a", "-b", "+c"]),
+            ("@@ -1,1 +1,1 @@", ["+a", "+b", "-c"]),
+            ("@@ -1,1 +1,2 @@", [" a", " b", "+c"]),
+            ("@@ -1,0 +1,1 @@", [" a"]),
+        ],
+    )
+    def test_overrunning_hunk_raises(self, header, body):
+        text = "diff --git a/a.c b/a.c\n--- a/a.c\n+++ b/a.c\n" + "\n".join([header, *body]) + "\n"
+        with pytest.raises(PatchFormatError, match="overruns its header counts"):
+            parse_file_diffs(text)
+
     def test_garbage_in_hunk_raises(self):
         text = (
             "diff --git a/a.c b/a.c\n--- a/a.c\n+++ b/a.c\n@@ -1,2 +1,2 @@\n context\n"

@@ -213,6 +213,18 @@ class TestPointLookups:
         assert payload["total_matching"] == sum(1 for r in with_cve if r.cve_id == cve)
 
 
+class TestMalformedPatches:
+    @pytest.mark.parametrize("route", ["/v1/classify", "/v1/lint"])
+    def test_overrunning_hunk_is_a_400(self, base_url, overrun_patch, route):
+        _, before = _get(base_url, "/statsz")
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _post(base_url, route, overrun_patch)
+        assert exc.value.code == 400
+        assert "overruns its header counts" in json.loads(exc.value.read())["error"]
+        _, after = _get(base_url, "/statsz")
+        assert after["counters"].get("http_5xx", 0) == before["counters"].get("http_5xx", 0)
+
+
 class TestStatsAccounting:
     def test_requests_are_counted(self, base_url):
         _, before = _get(base_url, "/statsz")
