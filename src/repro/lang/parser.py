@@ -90,7 +90,14 @@ class _Parser:
         self.texts = [t.text for t in tokens]
         self.n = len(tokens)
         self.pos = 0
-        self.source_lines = source.splitlines()
+        # Lines as the lexer counts them: split at "\n" only (splitlines()
+        # also splits at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029), with
+        # no empty piece after a final newline and one "\r" off each CRLF
+        # line, as splitlines() gave.
+        lines = source.removesuffix("\n").split("\n")
+        if "\r" in source:
+            lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
+        self.source_lines = lines
 
     # ---- cursor helpers -------------------------------------------------
 

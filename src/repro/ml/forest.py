@@ -11,6 +11,9 @@ generator, which makes the serial and parallel tree sequences — and hence
 the fitted forests — bit-identical: parallelism never changes which random
 draws a tree sees, only where it runs.  Only pool-infrastructure failures
 fall back to serial (counted in ``pool_fallback.rf_tree``).
+
+Prediction walks each row through every tree's compiled lists in one
+Python loop (:func:`~repro.ml.tree.mean_leaf_probability`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from ..obs import ObsRegistry
 from ..parallel import map_chunks
 from .base import Classifier, check_X, check_Xy, seeded_rng
 from .split import bootstrap_indices
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, mean_leaf_probability, proba_columns
 
 __all__ = ["RandomForestClassifier"]
 
@@ -109,25 +112,16 @@ class RandomForestClassifier(Classifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted()
         X = check_X(X, self._n_features)
-        votes = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            votes += tree.predict_proba(X)[:, 1]
-        p1 = votes / len(self.trees)
-        return np.column_stack([1.0 - p1, p1])
+        compiled = [tree.compiled for tree in self.trees]
+        return proba_columns(mean_leaf_probability(compiled, X.tolist()))
 
     def feature_importances(self) -> np.ndarray:
         """Split-frequency importances (fraction of internal nodes per feature)."""
         self._require_fitted()
         counts = np.zeros(self._n_features, dtype=np.float64)
-        total = 0
         for tree in self.trees:
-            stack = [tree.root]
-            while stack:
-                node = stack.pop()
-                if node is None or node.is_leaf:
-                    continue
-                counts[node.feature] += 1
-                total += 1
-                stack.append(node.left)
-                stack.append(node.right)
+            for f in tree.compiled.feature:
+                if f >= 0:
+                    counts[f] += 1
+        total = counts.sum()
         return counts / total if total else counts

@@ -62,6 +62,7 @@ class REPTreeClassifier(Classifier):
         tree.fit(X[grow_idx], y[grow_idx])
         if len(prune_idx):
             self._prune(tree.root, X[prune_idx], y[prune_idx])
+            tree.compile()  # pruning rewired the nodes
         self._tree = tree
         return self
 

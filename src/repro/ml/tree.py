@@ -5,18 +5,30 @@ vectorized split search (per-node, per-feature prefix-sum sweep), depth and
 leaf-size controls, and random feature subsetting so that
 :class:`~repro.ml.forest.RandomForestClassifier` can build decorrelated
 trees on top of it.
+
+Prediction does not walk :class:`TreeNode` objects: a fitted tree is
+compiled once into a :class:`CompiledTree`, and :func:`mean_leaf_probability`
+walks plain Python rows through any number of them (DESIGN.md states its
+exactness rule).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import ModelError
 from .base import Classifier, check_X, check_Xy, seeded_rng
 
-__all__ = ["DecisionTreeClassifier", "TreeNode"]
+__all__ = [
+    "CompiledTree",
+    "DecisionTreeClassifier",
+    "TreeNode",
+    "mean_leaf_probability",
+    "proba_columns",
+]
 
 
 @dataclass(slots=True)
@@ -48,6 +60,70 @@ class TreeNode:
         if self.is_leaf:
             return 1
         return self.left.count_leaves() + self.right.count_leaves()
+
+
+class CompiledTree(NamedTuple):
+    """A fitted tree as parallel per-node lists, root at index 0.
+
+    Leaves have ``feature == -1``; an internal node ``i`` sends a row with
+    ``row[feature[i]] <= threshold[i]`` to ``left[i]``, else ``right[i]``.
+    ``prob`` holds each node's training P(1), read at leaves.
+    """
+
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    prob: list[float]
+
+    @classmethod
+    def of(cls, root: TreeNode) -> "CompiledTree":
+        """Compile the subtree under *root* (preorder numbering)."""
+        tree = cls([], [], [], [], [])
+        stack = [(root, -1, False)]  # (node, parent index, is right child)
+        while stack:
+            node, parent, is_right = stack.pop()
+            i = len(tree.feature)
+            if parent >= 0:
+                (tree.right if is_right else tree.left)[parent] = i
+            tree.feature.append(node.feature)
+            tree.threshold.append(node.threshold)
+            tree.left.append(-1)
+            tree.right.append(-1)
+            tree.prob.append(node.prob_positive)
+            if not node.is_leaf:
+                stack.append((node.right, i, True))
+                stack.append((node.left, i, False))
+        return tree
+
+
+def mean_leaf_probability(trees: Sequence[CompiledTree], rows: list[list[float]]) -> list[float]:
+    """Each row's leaf P(1) averaged over *trees*: summed in tree order as
+    Python floats from ``0.0``, then divided by the tree count.
+
+    Python float compare, add and divide are the IEEE float64 operations
+    NumPy uses, so this keeps the bits of a per-tree NumPy column sum as
+    long as the order stays; a NaN feature compares false and goes right.
+    """
+    n = len(trees)
+    out = []
+    for row in rows:
+        total = 0.0
+        for feature, threshold, left, right, prob in trees:
+            i = 0
+            while (f := feature[i]) >= 0:
+                i = left[i] if row[f] <= threshold[i] else right[i]
+            total += prob[i]
+        out.append(total / n)
+    return out
+
+
+def proba_columns(p1: list[float]) -> np.ndarray:
+    """``(N, 2)`` class probabilities ``[1 - p1, p1]`` from P(1) values."""
+    out = np.empty((len(p1), 2), dtype=np.float64)
+    out[:, 1] = p1
+    out[:, 0] = 1.0 - out[:, 1]
+    return out
 
 
 def _impurity(pos: np.ndarray, total: np.ndarray, criterion: str) -> np.ndarray:
@@ -97,6 +173,7 @@ class DecisionTreeClassifier(Classifier):
         self.criterion = criterion
         self._rng = seeded_rng(seed)
         self.root: TreeNode | None = None
+        self.compiled: CompiledTree | None = None
 
     # ------------------------------------------------------------------
 
@@ -104,13 +181,30 @@ class DecisionTreeClassifier(Classifier):
         X, y = check_Xy(X, y)
         self._n_features = X.shape[1]
         self.root = self._build(X, y, depth=0)
+        self.compile()
         return self
+
+    def compile(self) -> None:
+        """Rebuild :attr:`compiled` from :attr:`root`; call again after
+        mutating the node tree (as REPTree's pruning does)."""
+        self.compiled = CompiledTree.of(self.root)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted()
         X = check_X(X, self._n_features)
-        p1 = np.array([self._leaf_for(row).prob_positive for row in X])
-        return np.column_stack([1.0 - p1, p1])
+        return proba_columns(mean_leaf_probability([self.compiled], X.tolist()))
+
+    # The compiled lists are derived state: pickles carry only the node
+    # tree, so the model-cache format (and with it every training key) is
+    # unchanged, and older pickles load into compiled trees.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["compiled"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.compiled = CompiledTree.of(self.root) if self.root is not None else None
 
     # ------------------------------------------------------------------
 
@@ -181,9 +275,3 @@ class DecisionTreeClassifier(Classifier):
                 cut = distinct[best_idx]
                 best = (int(f), float((v_sorted[cut - 1] + v_sorted[cut]) / 2.0))
         return best
-
-    def _leaf_for(self, row: np.ndarray) -> TreeNode:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node

@@ -63,7 +63,7 @@ def parse_patch(text: str, repo: str = "") -> Patch:
         raise PatchFormatError(f"unrecognized patch header: {head!r}")
 
     diff_text = "\n".join(lines[body_start:])
-    files = parse_file_diffs(diff_text)
+    files = parse_file_diffs(diff_text, first_line=body_start + 1)
     return Patch(sha=sha, message=message, files=files, author=author, date=date, repo=repo)
 
 

@@ -71,8 +71,9 @@ def _strip_prefix(path: str) -> str:
 class _LineReader:
     """Peekable line cursor with 1-based position for error messages."""
 
-    def __init__(self, lines: list[str]) -> None:
+    def __init__(self, lines: list[str], first_line: int) -> None:
         self._lines = lines
+        self._first_line = first_line
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -87,10 +88,10 @@ class _LineReader:
 
     @property
     def line_no(self) -> int:
-        return self.pos + 1
+        return self.pos + self._first_line
 
 
-def parse_file_diffs(text: str) -> tuple[FileDiff, ...]:
+def parse_file_diffs(text: str, first_line: int = 1) -> tuple[FileDiff, ...]:
     """Parse a diff body (one or more ``diff --git`` sections) into file diffs.
 
     Tolerates extended headers (``new file mode``, ``deleted file mode``,
@@ -98,10 +99,15 @@ def parse_file_diffs(text: str) -> tuple[FileDiff, ...]:
     placeholders (``Binary files ... differ``), which produce a hunk-less
     :class:`FileDiff`.
 
+    Args:
+        text: the diff body.
+        first_line: the line number of *text*'s first line in the document
+            it came from, so error line numbers point into that document.
+
     Raises:
         PatchFormatError: on structurally invalid input.
     """
-    reader = _LineReader(text.splitlines())
+    reader = _LineReader(text.splitlines(), first_line)
     diffs: list[FileDiff] = []
     while True:
         line = reader.peek()

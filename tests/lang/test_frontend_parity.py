@@ -198,7 +198,12 @@ class ReferenceParser:
     def __init__(self, tokens: list[Token], source: str) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.source_lines = source.splitlines()
+        # Deliberately not frozen: the old splitlines() table also broke at
+        # \f, \v, \x85, ..., which token lines do not count, and the
+        # production parser's fix is mirrored here.
+        self.source_lines = [
+            ln[:-1] if ln.endswith("\r") else ln for ln in source.removesuffix("\n").split("\n")
+        ]
 
     # ---- cursor helpers -------------------------------------------------
 
@@ -786,6 +791,9 @@ EDGE_CASES = [
     "void f(){ x = {1, {2}}; y = (a[1]); }",
     "void f(){ a ) ; b; } int g() { x ] = 1; y; }",
     "}}} int f() { { }",
+    # statement text across line breaks other than "\n"
+    "int f(void)\r\n{\r\n\f\r\n    if (a > 1)\r\n        b = 2;\r\n    return c;\r\n}\r\n",
+    "void f(){ if (a\r> 1) x;\v\x85 return b; }\r",
     MALFORMED_WORLD_FILE,
 ]
 

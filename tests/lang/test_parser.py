@@ -197,3 +197,20 @@ class TestRobustness:
         assert fn.span_contains(fn.start_line)
         assert fn.span_contains(fn.end_line)
         assert not fn.span_contains(fn.end_line + 1)
+
+    def test_form_feed_line_keeps_statement_text(self):
+        # Token lines count "\n" only; a form feed on its own line must not
+        # shift the source line every later statement's text is read from.
+        src = "int f(void)\n{\n\f\n    if (a > 1)\n        b = 2;\n    return c;\n}\n"
+        unit = parse_translation_unit(src)
+        assert find_if_statements(unit)[0].cond.text == "a > 1"
+        returns = [n for n in walk(unit.functions[0]) if isinstance(n, ReturnStmt)]
+        assert [r.value_text for r in returns] == ["c"]
+        assert unit.end_line == 7
+
+    def test_crlf_text_reads_as_lf(self):
+        src = "int f(void)\n{\n    if (a > 1)\n        b = 2;\n    return c;\n}\n"
+        lf = parse_translation_unit(src)
+        crlf = parse_translation_unit(src.replace("\n", "\r\n"))
+        assert crlf.functions == lf.functions
+        assert crlf.end_line == lf.end_line == 6

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PatchFormatError
-from repro.patch import parse_patch, render_mbox_patch, render_patch
+from repro.patch import parse_file_diffs, parse_patch, render_mbox_patch, render_patch
 
 
 class TestLogStyle:
@@ -73,10 +73,21 @@ class TestErrors:
 
     def test_overrunning_hunk_raises_at_first_extra_line(self, overrun_patch):
         # '-b' is the second removed line under an old count of 1; it is
-        # line 6 of the diff body.
-        message = r"^line 6: hunk body overruns its header counts \(1,1\): '-b'$"
+        # line 12 of the submitted patch (line 6 of its diff body).
+        message = r"^line 12: hunk body overruns its header counts \(1,1\): '-b'$"
         with pytest.raises(PatchFormatError, match=message):
             parse_patch(overrun_patch)
+
+    def test_mbox_error_lines_count_from_the_first_patch_line(self):
+        text = TestMboxStyle.MBOX.replace("-old line\n", "-old line\n-extra\n")
+        assert text.splitlines()[16] == "-extra"
+        with pytest.raises(PatchFormatError, match=r"^line 17: hunk body overruns"):
+            parse_patch(text)
+
+    def test_bare_diff_body_keeps_its_own_numbering(self, overrun_patch):
+        body = overrun_patch[overrun_patch.index("diff --git") :]
+        with pytest.raises(PatchFormatError, match=r"^line 6: hunk body overruns"):
+            parse_file_diffs(body)
 
 
 class TestRoundTrips:
