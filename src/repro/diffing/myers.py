@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["EditOp", "Edit", "diff_sequences", "lcs_length"]
+__all__ = ["EditOp", "Edit", "common_affixes", "diff_sequences", "lcs_length", "windowed_script"]
 
 
 class EditOp(enum.Enum):
@@ -37,6 +37,50 @@ class Edit:
     new_index: int
 
 
+def common_affixes(old: Sequence, new: Sequence) -> tuple[int, int]:
+    """Lengths of the common prefix and common suffix of *old* and *new*.
+
+    The suffix never overlaps the prefix, so ``old[prefix : len(old) -
+    suffix]`` and ``new[prefix : len(new) - suffix]`` are the middles that
+    still need a search, and their edit script starts and ends with a
+    change.
+    """
+    limit = min(len(old), len(new))
+    prefix = 0
+    for a, b in zip(old, new):
+        if a != b:
+            break
+        prefix += 1
+    suffix = 0
+    for i in range(-1, prefix - limit - 1, -1):
+        if old[i] != new[i]:
+            break
+        suffix += 1
+    return prefix, suffix
+
+
+def windowed_script(old: Sequence, new: Sequence, window: int | None) -> tuple[list[Edit], int]:
+    """Edit script of *old* to *new* that skips most of the common ends.
+
+    Only the middle left by :func:`common_affixes` is searched.  At most
+    *window* EQUAL records of the common prefix, and of the common suffix,
+    are kept next to it (all of them when *window* is None).
+
+    Returns:
+        The script and the number of leading prefix records left out.
+    """
+    # Myers is quadratic in the worst case and file versions usually share
+    # almost everything, so only the middle is searched.
+    n, m = len(old), len(new)
+    prefix, suffix = common_affixes(old, new)
+    lead = prefix if window is None else min(prefix, window)
+    trail = suffix if window is None else min(suffix, window)
+    script = [Edit(EditOp.EQUAL, i, i) for i in range(prefix - lead, prefix)]
+    script.extend(_myers(old[prefix : n - suffix], new[prefix : m - suffix], prefix))
+    script.extend(Edit(EditOp.EQUAL, n - suffix + k, m - suffix + k) for k in range(trail))
+    return script, prefix - lead
+
+
 def diff_sequences(old: Sequence, new: Sequence) -> list[Edit]:
     """Compute a minimal edit script turning *old* into *new*.
 
@@ -44,39 +88,21 @@ def diff_sequences(old: Sequence, new: Sequence) -> list[Edit]:
         Edits in order: EQUAL records carry both indices; DELETE records
         reference *old*; INSERT records reference *new*.
     """
-    # Trim a common prefix/suffix first; Myers is quadratic in the worst
-    # case and patches usually share almost everything.
-    n, m = len(old), len(new)
-    prefix = 0
-    while prefix < n and prefix < m and old[prefix] == new[prefix]:
-        prefix += 1
-    suffix = 0
-    while suffix < n - prefix and suffix < m - prefix and old[n - 1 - suffix] == new[m - 1 - suffix]:
-        suffix += 1
-
-    core = _myers(old[prefix : n - suffix], new[prefix : m - suffix])
-
-    script: list[Edit] = [Edit(EditOp.EQUAL, i, i) for i in range(prefix)]
-    for e in core:
-        script.append(
-            Edit(
-                e.op,
-                e.old_index + prefix if e.old_index >= 0 else -1,
-                e.new_index + prefix if e.new_index >= 0 else -1,
-            )
-        )
-    for k in range(suffix):
-        script.append(Edit(EditOp.EQUAL, n - suffix + k, m - suffix + k))
-    return script
+    return windowed_script(old, new, None)[0]
 
 
-def _myers(old: Sequence, new: Sequence) -> list[Edit]:
-    """Greedy O(ND) forward search with trace-back."""
+def _myers(old: Sequence, new: Sequence, offset: int) -> list[Edit]:
+    """Greedy O(ND) forward search with trace-back.
+
+    *offset* is added to every index of the script, so a search over two
+    slices that start at the same position reports indices into the whole
+    sequences.
+    """
     n, m = len(old), len(new)
     if n == 0:
-        return [Edit(EditOp.INSERT, -1, j) for j in range(m)]
+        return [Edit(EditOp.INSERT, -1, j + offset) for j in range(m)]
     if m == 0:
-        return [Edit(EditOp.DELETE, i, -1) for i in range(n)]
+        return [Edit(EditOp.DELETE, i + offset, -1) for i in range(n)]
 
     max_d = n + m
     # v[k] = furthest x on diagonal k; store per-d snapshots for trace-back.
@@ -95,12 +121,14 @@ def _myers(old: Sequence, new: Sequence) -> list[Edit]:
                 y += 1
             v[k] = x
             if x >= n and y >= m:
-                return _backtrack(trace, old, new, d)
+                return _backtrack(trace, old, new, d, offset)
     raise AssertionError("unreachable: Myers search must terminate by d = n+m")
 
 
-def _backtrack(trace: list[dict[int, int]], old: Sequence, new: Sequence, d_final: int) -> list[Edit]:
-    """Recover the edit script from the per-d snapshots."""
+def _backtrack(
+    trace: list[dict[int, int]], old: Sequence, new: Sequence, d_final: int, offset: int
+) -> list[Edit]:
+    """Recover the edit script from the per-d snapshots, indices + *offset*."""
     script_rev: list[Edit] = []
     x, y = len(old), len(new)
     for d in range(d_final, 0, -1):
@@ -116,22 +144,24 @@ def _backtrack(trace: list[dict[int, int]], old: Sequence, new: Sequence, d_fina
         while x > prev_x and y > prev_y:
             x -= 1
             y -= 1
-            script_rev.append(Edit(EditOp.EQUAL, x, y))
+            script_rev.append(Edit(EditOp.EQUAL, x + offset, y + offset))
         if d > 0:
             if x == prev_x:  # came from an insertion
                 y -= 1
-                script_rev.append(Edit(EditOp.INSERT, -1, y))
+                script_rev.append(Edit(EditOp.INSERT, -1, y + offset))
             else:  # came from a deletion
                 x -= 1
-                script_rev.append(Edit(EditOp.DELETE, x, -1))
+                script_rev.append(Edit(EditOp.DELETE, x + offset, -1))
     while x > 0 and y > 0:
         x -= 1
         y -= 1
-        script_rev.append(Edit(EditOp.EQUAL, x, y))
+        script_rev.append(Edit(EditOp.EQUAL, x + offset, y + offset))
     script_rev.reverse()
     return script_rev
 
 
 def lcs_length(old: Sequence, new: Sequence) -> int:
     """Length of the longest common subsequence (EQUAL count of the script)."""
-    return sum(1 for e in diff_sequences(old, new) if e.op is EditOp.EQUAL)
+    prefix, suffix = common_affixes(old, new)
+    middle = _myers(old[prefix : len(old) - suffix], new[prefix : len(new) - suffix], prefix)
+    return prefix + suffix + sum(1 for e in middle if e.op is EditOp.EQUAL)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ..patch.model import FileDiff, Hunk, Line, LineKind
-from .myers import Edit, EditOp, diff_sequences
+from ..patch.model import FileDiff, Hunk, Line, LineKind, split_lines
+from .myers import Edit, EditOp, windowed_script
 
 __all__ = ["diff_texts", "diff_lines", "DEFAULT_CONTEXT"]
 
@@ -52,8 +52,8 @@ def diff_texts(
         new_path: post-image path; defaults to *old_path*.
         context: context lines to include around each change run.
     """
-    old_lines = old_text.splitlines()
-    new_lines = new_text.splitlines()
+    old_lines = split_lines(old_text)
+    new_lines = split_lines(new_text)
     hunks = diff_lines(old_lines, new_lines, context=context)
     return FileDiff(
         old_path=old_path if old_text else "",
@@ -65,25 +65,32 @@ def diff_texts(
 def diff_lines(
     old_lines: list[str], new_lines: list[str], context: int = DEFAULT_CONTEXT
 ) -> tuple[Hunk, ...]:
-    """Diff two line lists into unified hunks (empty tuple if identical)."""
-    script = diff_sequences(old_lines, new_lines)
+    """Diff two line lists into unified hunks (empty tuple if identical).
+
+    Only the changed middle is searched, and only ``context`` records of
+    the common prefix and suffix around it are built: no hunk reaches
+    further into either.
+    """
+    script, skipped = windowed_script(old_lines, new_lines, context)
     if all(e.op is EditOp.EQUAL for e in script):
         return ()
-    groups = _group_edits(script, context)
+    groups = _group_edits(script, context, skipped)
     return tuple(_build_hunk(g, old_lines, new_lines) for g in groups)
 
 
-def _group_edits(script: list[Edit], context: int) -> list[_Group]:
+def _group_edits(script: list[Edit], context: int, skipped: int) -> list[_Group]:
     """Split the script into change groups with surrounding context.
 
     Two change runs separated by at most ``2 * context`` equal records are
-    merged into the same hunk, as ``git diff`` does.
+    merged into the same hunk, as ``git diff`` does.  *skipped* is the
+    number of leading EQUAL records left out of *script*; the old/new
+    cursors start past them.
     """
     groups: list[_Group] = []
     current: list[Edit] = []
     start_old = start_new = 0
     equal_run: list[Edit] = []
-    old_cursor = new_cursor = 0
+    old_cursor = new_cursor = skipped
 
     def flush(trailing: list[Edit]) -> None:
         nonlocal current

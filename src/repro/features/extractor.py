@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..lang.abstraction import abstract_token_texts
-from ..lang.metrics import FragmentCounts, count_lines
+from ..lang.abstraction import abstract_tokens
+from ..lang.lexer import tokenize
+from ..lang.metrics import FragmentCounts, count_tokens
+from ..lang.tokens import Token, TokenKind
 from ..patch.model import Hunk, Patch
 from .levenshtein import levenshtein
 from .vector import FEATURE_COUNT, feature_index
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = ["RepoContext", "extract_features", "extract_feature_matrix", "FeatureExtractor"]
 
@@ -65,6 +67,15 @@ class FeatureExtractor:
         hunks = patch.hunks
         added_lines = patch.added_lines()
         removed_lines = patch.removed_lines()
+        # One lex per distinct fragment text: a one-hunk patch's side text
+        # is also its hunk's text.  The memo lives for this call only.
+        lexed: dict[str, list[Token]] = {}
+
+        def lex(text: str) -> list[Token]:
+            tokens = lexed.get(text)
+            if tokens is None:
+                tokens = lexed[text] = tokenize(text)
+            return tokens
 
         set_ = self._set(vec)
         set_("changed_lines", len(added_lines) + len(removed_lines))
@@ -77,8 +88,8 @@ class FeatureExtractor:
             sum(len(t) for t in removed_lines),
         )
 
-        add_counts = count_lines(added_lines)
-        rem_counts = count_lines(removed_lines)
+        add_counts = count_tokens(_code_only(lex("\n".join(added_lines))))
+        rem_counts = count_tokens(_code_only(lex("\n".join(removed_lines))))
         for prefix, attr in (
             ("if_statements", "if_statements"),
             ("loops", "loops"),
@@ -99,7 +110,7 @@ class FeatureExtractor:
             self._count_defs(added_lines) - self._count_defs(removed_lines),
         )
 
-        self._hunk_distances(vec, hunks)
+        self._hunk_distances(vec, hunks, lex)
 
         affected_files = len(patch.files)
         affected_functions = len(functions)
@@ -172,7 +183,9 @@ class FeatureExtractor:
                 count += 1
         return count
 
-    def _hunk_distances(self, vec: np.ndarray, hunks: tuple[Hunk, ...]) -> None:
+    def _hunk_distances(
+        self, vec: np.ndarray, hunks: tuple[Hunk, ...], lex: Callable[[str], list[Token]]
+    ) -> None:
         """Features 49-56: per-hunk Levenshtein stats and same-hunk counts."""
         raw: list[float] = []
         abstracted: list[float] = []
@@ -181,8 +194,8 @@ class FeatureExtractor:
             rem_text = "\n".join(hunk.removed)
             add_text = "\n".join(hunk.added)
             raw.append(float(levenshtein(rem_text, add_text)))
-            rem_abs = abstract_token_texts(rem_text)
-            add_abs = abstract_token_texts(add_text)
+            rem_abs = abstract_tokens(lex(rem_text))
+            add_abs = abstract_tokens(lex(add_text))
             abstracted.append(float(levenshtein(rem_abs, add_abs)))
             if _normalized_lines(hunk.removed) == _normalized_lines(hunk.added):
                 same_raw += 1
@@ -191,11 +204,18 @@ class FeatureExtractor:
         set_ = self._set(vec)
         for prefix, values in (("raw", raw), ("abs", abstracted)):
             if values:
-                set_(f"lev_mean_{prefix}", float(np.mean(values)))
-                set_(f"lev_min_{prefix}", float(np.min(values)))
-                set_(f"lev_max_{prefix}", float(np.max(values)))
+                # Whole-number distances sum exactly in any order, so this
+                # mean has the bits of np.mean's.
+                set_(f"lev_mean_{prefix}", sum(values) / len(values))
+                set_(f"lev_min_{prefix}", min(values))
+                set_(f"lev_max_{prefix}", max(values))
         set_("same_hunks_raw", same_raw)
         set_("same_hunks_abs", same_abs)
+
+
+def _code_only(tokens: list[Token]) -> list[Token]:
+    """The code tokens of a lexed fragment, as ``code_tokens`` keeps them."""
+    return [t for t in tokens if t.kind is not TokenKind.COMMENT and t.kind is not TokenKind.NEWLINE]
 
 
 def _heading_name(section: str) -> str:

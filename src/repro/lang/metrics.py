@@ -39,7 +39,7 @@ from .tokens import (
     TokenKind,
 )
 
-__all__ = ["FragmentCounts", "count_fragment", "count_lines"]
+__all__ = ["FragmentCounts", "count_fragment", "count_lines", "count_tokens"]
 
 
 @dataclass(slots=True)
@@ -93,7 +93,7 @@ _CONTROL_NAMES = frozenset({"if", "for", "while", "switch", "sizeof", "return", 
 
 def count_fragment(source: str) -> FragmentCounts:
     """Count syntactic constructs in a code fragment."""
-    return _count_tokens(code_tokens(source))
+    return count_tokens(code_tokens(source))
 
 
 def count_lines(lines: list[str]) -> FragmentCounts:
@@ -105,7 +105,8 @@ def count_lines(lines: list[str]) -> FragmentCounts:
     return count_fragment("\n".join(lines))
 
 
-def _count_tokens(tokens: list[Token]) -> FragmentCounts:
+def count_tokens(tokens: list[Token]) -> FragmentCounts:
+    """Count syntactic constructs in an already lexed list of code tokens."""
     counts = FragmentCounts()
     counts.tokens = len(tokens)
     for idx, tok in enumerate(tokens):

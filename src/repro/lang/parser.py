@@ -15,6 +15,7 @@ is reserved for internal invariant violations in ``strict`` mode.
 from __future__ import annotations
 
 from ..errors import ParseError
+from ..patch.model import split_lines
 from .ast_nodes import (
     BlockStmt,
     BreakStmt,
@@ -90,14 +91,8 @@ class _Parser:
         self.texts = [t.text for t in tokens]
         self.n = len(tokens)
         self.pos = 0
-        # Lines as the lexer counts them: split at "\n" only (splitlines()
-        # also splits at \f, \v, \x1c-\x1e, \x85, \u2028 and \u2029), with
-        # no empty piece after a final newline and one "\r" off each CRLF
-        # line, as splitlines() gave.
-        lines = source.removesuffix("\n").split("\n")
-        if "\r" in source:
-            lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
-        self.source_lines = lines
+        # Lines as the lexer counts them: split at "\n" only.
+        self.source_lines = split_lines(source)
 
     # ---- cursor helpers -------------------------------------------------
 

@@ -8,7 +8,7 @@ round-trip them, strict patch application, and the paper's C/C++ file filter.
 
 from .apply import apply_file_diff, invert_file_diff, invert_hunk, reverse_file_diff
 from .gitformat import diffstat, parse_patch, render_mbox_patch, render_patch
-from .model import C_CPP_EXTENSIONS, FileDiff, Hunk, Line, LineKind, Patch, is_c_cpp_path
+from .model import C_CPP_EXTENSIONS, FileDiff, Hunk, Line, LineKind, Patch, is_c_cpp_path, split_lines
 from .unified import parse_file_diffs, parse_hunk_header, render_file_diff, render_file_diffs
 
 __all__ = [
@@ -31,4 +31,5 @@ __all__ = [
     "render_mbox_patch",
     "render_patch",
     "reverse_file_diff",
+    "split_lines",
 ]

@@ -10,7 +10,7 @@ pre-image exactly, otherwise :class:`~repro.errors.PatchApplyError` is raised
 from __future__ import annotations
 
 from ..errors import PatchApplyError
-from .model import FileDiff, Hunk, Line, LineKind
+from .model import FileDiff, Hunk, Line, LineKind, split_lines
 
 __all__ = ["apply_file_diff", "reverse_file_diff", "invert_file_diff", "invert_hunk"]
 
@@ -25,7 +25,7 @@ def apply_file_diff(old_text: str, diff: FileDiff) -> str:
     Raises:
         PatchApplyError: if any hunk's context/removed lines do not match.
     """
-    old_lines = old_text.splitlines()
+    old_lines = split_lines(old_text)
     out: list[str] = []
     cursor = 0  # 0-based index into old_lines
     for hunk in diff.hunks:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from ..errors import PatchFormatError
-from .model import FileDiff, Patch
+from .model import FileDiff, Patch, split_lines
 from .unified import parse_file_diffs, render_file_diffs
 
 __all__ = ["parse_patch", "render_patch", "render_mbox_patch", "diffstat"]
@@ -46,7 +46,7 @@ def parse_patch(text: str, repo: str = "") -> Patch:
     Raises:
         PatchFormatError: if no commit header can be found.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     if not lines:
         raise PatchFormatError("empty patch text")
 

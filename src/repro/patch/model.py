@@ -22,6 +22,7 @@ __all__ = [
     "Patch",
     "C_CPP_EXTENSIONS",
     "is_c_cpp_path",
+    "split_lines",
 ]
 
 #: File extensions the paper treats as C/C++ source (§III-A).
@@ -34,6 +35,22 @@ def is_c_cpp_path(path: str) -> bool:
     if dot < 0:
         return False
     return path[dot:].lower() in C_CPP_EXTENSIONS
+
+
+def split_lines(text: str) -> list[str]:
+    r"""Split file or patch *text* into lines at ``"\n"`` only.
+
+    ``str.splitlines()`` also breaks at ``\f``, ``\v``, ``\x1c``-``\x1e``,
+    ``\x85``, ``\u2028`` and ``\u2029``, which are ordinary characters
+    inside a source or patch line.  As with ``splitlines()``, a final
+    newline opens no empty line and a CRLF line loses its ``"\r"``.
+    """
+    if not text:
+        return []
+    lines = text.removesuffix("\n").split("\n")
+    if "\r" in text:
+        lines = [ln[:-1] if ln.endswith("\r") else ln for ln in lines]
+    return lines
 
 
 class LineKind(enum.Enum):

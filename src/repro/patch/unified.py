@@ -21,7 +21,7 @@ import re
 from typing import Iterable, Iterator
 
 from ..errors import PatchFormatError
-from .model import FileDiff, Hunk, Line, LineKind
+from .model import FileDiff, Hunk, Line, LineKind, split_lines
 
 __all__ = [
     "parse_file_diffs",
@@ -38,8 +38,12 @@ _HUNK_RE = re.compile(
 _DEV_NULL = "/dev/null"
 
 
-def parse_hunk_header(line: str) -> tuple[int, int, int, int, str]:
+def parse_hunk_header(line: str, line_no: int | None = None) -> tuple[int, int, int, int, str]:
     """Parse an ``@@ -a,b +c,d @@ section`` header.
+
+    Args:
+        line: the header line.
+        line_no: its line number, reported by the error if it is malformed.
 
     Returns:
         ``(old_start, old_count, new_start, new_count, section)``.
@@ -49,7 +53,7 @@ def parse_hunk_header(line: str) -> tuple[int, int, int, int, str]:
     """
     m = _HUNK_RE.match(line)
     if not m:
-        raise PatchFormatError(f"malformed hunk header: {line!r}")
+        raise PatchFormatError(f"malformed hunk header: {line!r}", line_no)
     return (
         int(m.group("ostart")),
         int(m.group("ocount") or "1"),
@@ -107,7 +111,7 @@ def parse_file_diffs(text: str, first_line: int = 1) -> tuple[FileDiff, ...]:
     Raises:
         PatchFormatError: on structurally invalid input.
     """
-    reader = _LineReader(text.splitlines(), first_line)
+    reader = _LineReader(split_lines(text), first_line)
     diffs: list[FileDiff] = []
     while True:
         line = reader.peek()
@@ -190,7 +194,8 @@ def _parse_one_file(reader: _LineReader) -> FileDiff:
 
 def _parse_hunk(reader: _LineReader) -> Hunk:
     """Parse one hunk positioned at its ``@@`` header."""
-    ostart, ocount, nstart, ncount, section = parse_hunk_header(reader.next())
+    header_line_no = reader.line_no
+    ostart, ocount, nstart, ncount, section = parse_hunk_header(reader.next(), header_line_no)
     lines: list[Line] = []
     old_seen = new_seen = 0
     while old_seen < ocount or new_seen < ncount:

@@ -37,6 +37,18 @@ class TestHunkHeader:
         with pytest.raises(PatchFormatError):
             parse_hunk_header("@@ bogus @@")
 
+    def test_malformed_header_in_a_diff_reports_its_line(self):
+        text = BASIC_DIFF.replace("@@ -1,2 +1,3 @@", "@@ -1,x +1,1 @@")
+        with pytest.raises(PatchFormatError, match=r"^line 5: malformed hunk header: '@@ -1,x \+1,1 @@") as err:
+            parse_file_diffs(text)
+        assert err.value.line_no == 5
+
+    def test_malformed_header_line_counts_from_first_line(self):
+        text = BASIC_DIFF.replace("@@ -1,2 +1,3 @@", "@@ -1,x +1,1 @@")
+        with pytest.raises(PatchFormatError) as err:
+            parse_file_diffs(text, first_line=8)
+        assert err.value.line_no == 12
+
 
 class TestParse:
     def test_basic_fields(self):

@@ -126,6 +126,27 @@ class TestClassifyEndpoint:
         inline = service.classify(patch_text, batched=False)
         assert results[0]["security_probability"] == inline["security_probability"]
 
+    def test_line_separator_inside_a_patch_line_is_200(self, base_url):
+        # U+2028 is an ordinary character of a patch line, not a line break.
+        text = (
+            "commit " + "a" * 40 + "\n"
+            "Author: Dev <d@example.org>\n"
+            "Date:   Tue Nov 5 10:00:00 2019 -0500\n"
+            "\n"
+            "    fix\n"
+            "\n"
+            "diff --git a/f.c b/f.c\n"
+            "--- a/f.c\n"
+            "+++ b/f.c\n"
+            "@@ -1,2 +1,2 @@\n"
+            " /* a\u2028b */\n"
+            "-if (n > 4) x = 1;\n"
+            "+if (n >= 4) x = 1;\n"
+        )
+        status, payload = _post(base_url, "/v1/classify", text)
+        assert status == 200
+        assert 0.0 <= payload["security_probability"] <= 1.0
+
     def test_empty_body_400(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as exc:
             _post(base_url, "/v1/classify", "")
