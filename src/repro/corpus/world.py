@@ -45,6 +45,7 @@ from ..parallel import map_chunks
 from ..patch.model import Patch
 from ..vcs.repository import Repository
 from .codegen import CodeGenerator
+from .mutate import OutlineIndex, outline_index
 from .nonsec import NONSEC_GENERATORS, NONSEC_KIND_WEIGHTS, apply_nonsec_pattern
 from .vulnpatterns import PATTERN_NAMES, apply_security_pattern
 
@@ -370,7 +371,10 @@ def _build_shard(task: _ShardTask, obs: ObsRegistry | None = None) -> _ShardResu
         "security": 0,
         "nonsec": 0,
     }
-    with obs.span("world.shard", repo_index=task.index, steps=len(task.steps)) as sp:
+    with (
+        obs.span("world.shard", repo_index=task.index, steps=len(task.steps)) as sp,
+        outline_index() as outlines,
+    ):
         slug = f"{task.owner}/{gen.module_name()}-{task.index}"
         repo = Repository(slug)
         files: dict[str, str] = {
@@ -391,9 +395,9 @@ def _build_shard(task: _ShardTask, obs: ObsRegistry | None = None) -> _ShardResu
                 stats["skipped_no_c_paths"] += 1
                 continue
             if is_security:
-                label = _apply_security(config, rng, gen, repo, tree, c_paths, step)
+                label = _apply_security(config, rng, gen, repo, tree, c_paths, step, outlines)
             else:
-                label = _apply_nonsec(config, rng, gen, repo, tree, c_paths, step)
+                label = _apply_nonsec(config, rng, gen, repo, tree, c_paths, step, outlines)
             if label is None:
                 stats["skipped_exhausted"] += 1
                 continue
@@ -403,6 +407,8 @@ def _build_shard(task: _ShardTask, obs: ObsRegistry | None = None) -> _ShardResu
         if sp is not None:
             sp.attributes["slug"] = slug
             sp.attributes["produced"] = stats["produced"]
+    for way, count in outlines.counts.items():
+        obs.add(f"world_outline_{way}", count)
     return _ShardResult(
         index=task.index,
         slug=slug,
@@ -519,6 +525,7 @@ def _apply_security(
     tree: dict[str, str],
     c_paths: list[str],
     step: int,
+    outlines: OutlineIndex,
 ) -> CommitLabel | None:
     reported = rng.random() < config.nvd_report_fraction
     dist = config.nvd_type_distribution if reported else config.wild_type_distribution
@@ -531,6 +538,7 @@ def _apply_security(
             break
     else:
         return None
+    outlines.note_edit(tree[path], new_text)
     files = dict(tree)
     files[path] = new_text
     # CVE-worthy fixes tend to be more substantial commits: NVD-reported
@@ -543,6 +551,7 @@ def _apply_security(
             extra_path = c_paths[int(rng.integers(0, len(c_paths)))]
             extra = apply_security_pattern(files[extra_path], ptype, rng)
             if extra is not None and extra != files[extra_path]:
+                outlines.note_edit(files[extra_path], extra)
                 files[extra_path] = extra
 
     explicit = rng.random() < config.explicit_message_fraction
@@ -576,6 +585,7 @@ def _apply_nonsec(
     tree: dict[str, str],
     c_paths: list[str],
     step: int,
+    outlines: OutlineIndex,
 ) -> CommitLabel | None:
     kinds = list(NONSEC_GENERATORS)
     weights = np.array([NONSEC_KIND_WEIGHTS[k] for k in kinds])
@@ -588,6 +598,7 @@ def _apply_nonsec(
             break
     else:
         return None
+    outlines.note_edit(tree[path], new_text)
     files = dict(tree)
     files[path] = new_text
     anchor = _message_anchor(rng, path, gen)

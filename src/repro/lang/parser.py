@@ -14,6 +14,9 @@ is reserved for internal invariant violations in ``strict`` mode.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from dataclasses import dataclass
+
 from ..errors import ParseError
 from ..patch.model import split_lines
 from .ast_nodes import (
@@ -40,13 +43,22 @@ from .ast_nodes import (
 from .lexer import tokenize
 from .tokens import TYPE_KEYWORDS, Token, TokenKind
 
-__all__ = ["parse_translation_unit", "parse_function_body", "find_if_statements"]
+__all__ = [
+    "FunctionSpan",
+    "Outline",
+    "parse_translation_unit",
+    "parse_function_body",
+    "find_if_statements",
+    "outline_functions",
+]
 
 _OPEN = frozenset("([{")
 _CLOSE = frozenset(")]}")
 _CLOSE_FOR_OPEN = {"(": ")", "[": "]", "{": "}"}
 _IDENTIFIER = TokenKind.IDENTIFIER
 _KEYWORD = TokenKind.KEYWORD
+_COMMENT = TokenKind.COMMENT
+_PREPROCESSOR = TokenKind.PREPROCESSOR
 
 
 def _code_tokens(source: str) -> list[Token]:
@@ -58,6 +70,111 @@ def parse_translation_unit(source: str, path: str = "") -> TranslationUnit:
     """Parse a full C/C++ file into a :class:`TranslationUnit`."""
     parser = _Parser(_code_tokens(source), source)
     return parser.parse_unit(path)
+
+
+@dataclass(frozen=True, slots=True)
+class FunctionSpan:
+    """Where one function definition sits, without its statements.
+
+    Attributes:
+        name: the function's name.
+        return_type_text: the declaration text before the name, stripped.
+        start_line, end_line: 1-based lines of the first token and of the
+            body's last token.
+        body_start_line, body_end_line: lines of the body's ``{`` and of
+            its last token.
+        col: 1-based column of the first token.
+        closed: the body ended at its own ``}`` rather than running out of
+            tokens.
+    """
+
+    name: str
+    return_type_text: str
+    start_line: int
+    end_line: int
+    body_start_line: int
+    body_end_line: int
+    col: int
+    closed: bool
+
+    def shifted(self, lines: int) -> "FunctionSpan":
+        """The same span *lines* lines further down."""
+        return FunctionSpan(
+            self.name,
+            self.return_type_text,
+            self.start_line + lines,
+            self.end_line + lines,
+            self.body_start_line + lines,
+            self.body_end_line + lines,
+            self.col,
+            self.closed,
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Outline:
+    """The function spans of one text, and how far they can be trusted.
+
+    Attributes:
+        spans: the definitions :func:`parse_translation_unit` finds, in order.
+        settled: how many leading spans were parsed before any scan ran out
+            of tokens.  Up to the end of each of them, every parse decision
+            was made by tokens before that end, so a text that only differs
+            after it parses the same up to there.
+        clean_end: the text can be followed by more lines without changing
+            how it parses: no scan ran out of tokens, no block comment is
+            left open and the last line does not end in a backslash.
+
+    An outline the world builder assembles from an older one
+    (:func:`repro.corpus.mutate.function_spans`) has the same spans as a
+    full one, but may understate *settled* and *clean_end*.
+    """
+
+    spans: tuple[FunctionSpan, ...]
+    settled: int
+    clean_end: bool
+
+
+def outline_functions(source: str, line_offset: int = 0) -> Outline:
+    """The :class:`Outline` of *source*, its lines shifted by *line_offset*.
+
+    Runs the same lexer and parser as :func:`parse_translation_unit` and
+    raises what it raises.
+    """
+    if "/*" in source:
+        tokens = tokenize(source, keep_comments=True)
+        last = tokens[-1] if tokens else None
+        open_comment = (
+            last is not None
+            and last.kind is _COMMENT
+            and last.text.startswith("/*")
+            and (len(last.text) < 4 or not last.text.endswith("*/"))
+        )
+        tokens = [t for t in tokens if t.kind is not _COMMENT and t.kind is not _PREPROCESSOR]
+    else:
+        tokens = _code_tokens(source)
+        open_comment = False
+    parser = _Parser(tokens, source)
+    spans: list[FunctionSpan] = []
+    settled = 0
+    for first, fn, closed in parser.function_defs():
+        spans.append(
+            FunctionSpan(
+                fn.name,
+                fn.return_type_text,
+                fn.start_line + line_offset,
+                fn.end_line + line_offset,
+                fn.body.start_line + line_offset,
+                fn.body.end_line + line_offset,
+                first.col,
+                closed,
+            )
+        )
+        if not parser.eof_exits:
+            settled = len(spans)
+    lines = parser.source_lines
+    continued = bool(lines) and lines[-1].rstrip(" \t\r").endswith("\\")
+    return Outline(tuple(spans), settled, not (parser.eof_exits or open_comment or continued))
 
 
 def parse_function_body(source: str) -> BlockStmt:
@@ -93,6 +210,11 @@ class _Parser:
         self.pos = 0
         # Lines as the lexer counts them: split at "\n" only.
         self.source_lines = split_lines(source)
+        # Scans that stopped at the end of the tokens instead of at their
+        # own delimiter: the top-level scan for a definition, the skip over
+        # a top-level item, and any block.  Each such decision could go the
+        # other way if more tokens followed.
+        self.eof_exits = 0
 
     # ---- cursor helpers -------------------------------------------------
 
@@ -163,15 +285,21 @@ class _Parser:
     # ---- top level ------------------------------------------------------
 
     def parse_unit(self, path: str) -> TranslationUnit:
-        functions: list[FunctionDef] = []
         last_line = self.source_lines and len(self.source_lines) or 1
-        while not self.eof():
-            fn = self._try_function_def()
-            if fn is not None:
-                functions.append(fn)
-                continue
-            self._skip_top_level_item()
+        functions = [fn for _, fn, _ in self.function_defs()]
         return TranslationUnit(1, last_line, functions=functions, path=path)
+
+    def function_defs(self) -> Iterator[tuple[Token, FunctionDef, bool]]:
+        """Each top-level definition with its first token, and whether its
+        body ended at its own ``}``; other top-level items are skipped."""
+        while not self.eof():
+            first = self.pos
+            eof_exits = self.eof_exits
+            fn = self._try_function_def()
+            if fn is None:
+                self._skip_top_level_item()
+            else:
+                yield self.tokens[first], fn, self.eof_exits == eof_exits
 
     def _try_function_def(self) -> FunctionDef | None:
         """Parse a function definition starting at the cursor, or return None.
@@ -213,6 +341,7 @@ class _Parser:
                 i = j
                 continue
             i += 1
+        self.eof_exits += 1
         return None
 
     def _function_def(
@@ -251,10 +380,13 @@ class _Parser:
                         depth += 1
                     elif t == "}":
                         depth -= 1
+                if depth:
+                    self.eof_exits += 1
                 # struct { ... } x; — keep consuming to the ';' if adjacent.
-                if self.at(";"):
+                elif self.at(";"):
                     self.next()
                 return
+        self.eof_exits += 1
 
     # ---- statements -----------------------------------------------------
 
@@ -274,6 +406,7 @@ class _Parser:
             self.pos += 1
         else:
             close_tok = tokens[-1]
+            self.eof_exits += 1
         return BlockStmt(open_tok.line, close_tok.line, stmts=stmts)
 
     def parse_statement(self) -> Stmt:

@@ -50,7 +50,11 @@ Phase timer names in use: ``extract``, ``extract_parallel``, ``distance``,
 timer is one :func:`~repro.parallel.map_chunks` pool attempt).
 Counter names in use: ``world_commits_attempted``,
 ``world_commits_produced``, ``world_commits_skipped_no_c_paths``,
-``world_commits_skipped_exhausted``, ``vectors_extracted``, ``vector_cache_hits``,
+``world_commits_skipped_exhausted``, ``world_outline_full``,
+``world_outline_incremental``, ``world_outline_fallback``,
+``world_outline_unparsable`` (how each text the world builder's generators
+read was outlined; see :func:`repro.corpus.mutate.function_spans`),
+``vectors_extracted``, ``vector_cache_hits``,
 ``npz_vectors_loaded``, ``distance_cells_computed``,
 ``distance_cells_reused``, ``distance_full_recomputes``,
 ``distance_incremental_updates``, ``token_cache_hits``,

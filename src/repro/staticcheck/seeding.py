@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from ..errors import StaticCheckError
 from ..lang.parser import parse_translation_unit
+from ..patch.model import split_lines
 from .analyzer import analyze_source
 from .checkers import CHECKER_IDS, make_checkers
 from .model import LintReport, shifted_finding_ids
@@ -206,7 +207,7 @@ def _inject(source: str, payload: list[str], path: str) -> tuple[str, int, int]:
     if not unit.functions:
         raise StaticCheckError(f"{path}: no function to host a seeded violation")
     body = unit.functions[0].body
-    lines = source.splitlines()
+    lines = split_lines(source)
     # Insert right after the body's opening line, i.e. first in the block.
     insert_at = body.start_line
     out = lines[:insert_at] + payload + lines[insert_at:]

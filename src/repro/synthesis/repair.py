@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import SynthesisError
+from ..patch.model import split_lines
 
 __all__ = ["RepairSite", "find_repair_sites", "repair_site", "repair_all"]
 
@@ -180,7 +181,7 @@ def repair_site(source: str, site: RepairSite) -> str:
         SynthesisError: when the site's coordinates do not align with the
             text (stale site after an earlier edit).
     """
-    lines = source.splitlines()
+    lines = split_lines(source)
     open_line, open_col = site.cond_open
     close_line, close_col = site.cond_close
     if not (1 <= open_line <= len(lines) and 1 <= close_line <= len(lines)):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ..errors import SynthesisError
 from ..lang.sideeffects import expression_side_effects
+from ..patch.model import split_lines
 
 __all__ = ["Variant", "VARIANTS", "apply_variant_text", "N_VARIANTS"]
 
@@ -156,7 +157,7 @@ def apply_variant_text(
             a function call) — variants 3-8 may evaluate it twice, so
             rewriting such a condition would not be behavior-preserving.
     """
-    lines = source.splitlines()
+    lines = split_lines(source)
     open_line, open_col = cond_open
     close_line, close_col = cond_close
     if not (1 <= open_line <= len(lines) and 1 <= close_line <= len(lines)):

@@ -63,11 +63,18 @@ class Repository:
             author: author string.
             date: author date string.
         """
+        # A file whose content equals the parent's keeps the parent's blob
+        # id; only new content is hashed.
+        parent = self._tree_oids(self.head) if self.head is not None else {}
+        blobs = self._blobs
         mapping: dict[str, str] = {}
         for path, content in files.items():
-            blob = Blob(content)
-            self._blobs[blob.oid] = blob
-            mapping[path] = blob.oid
+            oid = parent.get(path)
+            if oid is None or blobs[oid].content != content:
+                blob = Blob(content)
+                oid = blob.oid
+                blobs[oid] = blob
+            mapping[path] = oid
         snapshot = Snapshot.from_mapping(mapping)
         self._snapshots[snapshot.oid] = snapshot
         commit = CommitObject(
@@ -119,6 +126,10 @@ class Repository:
         snapshot = self._snapshots[commit.snapshot_oid]
         return {path: self._blobs[oid].content for path, oid in snapshot.entries}
 
+    def _tree_oids(self, sha: str) -> dict[str, str]:
+        """Path → blob id of the working tree at *sha*."""
+        return self._snapshots[self.commit_object(sha).snapshot_oid].as_dict()
+
     def file_at(self, sha: str, path: str) -> str | None:
         """Content of *path* at *sha*, or None if absent."""
         commit = self.commit_object(sha)
@@ -137,26 +148,32 @@ class Repository:
 
     def diff(self, sha: str) -> tuple[FileDiff, ...]:
         """File diffs of *sha* against its parent."""
-        before, after = self.before_after(sha)
+        commit = self.commit_object(sha)
+        after = self._tree_oids(sha)
+        before = self._tree_oids(commit.parent_oid) if commit.parent_oid else {}
+        blobs = self._blobs
         diffs: list[FileDiff] = []
         for path in sorted(set(before) | set(after)):
-            old = before.get(path, "")
-            new = after.get(path, "")
-            if old == new:
+            old_oid = before.get(path, "")
+            new_oid = after.get(path, "")
+            if old_oid == new_oid:
+                continue
+            old = blobs[old_oid].content if old_oid else ""
+            new = blobs[new_oid].content if new_oid else ""
+            if old == new:  # an empty file added or removed
                 continue
             fdiff = diff_texts(old, new, path)
             if fdiff.hunks or fdiff.is_new_file or fdiff.is_deleted_file:
-                diffs.append(self._with_blob_ids(fdiff, before, after, path))
+                diffs.append(
+                    FileDiff(
+                        fdiff.old_path,
+                        fdiff.new_path,
+                        fdiff.hunks,
+                        old_blob=old_oid[:9],
+                        new_blob=new_oid[:9],
+                    )
+                )
         return tuple(diffs)
-
-    def _with_blob_ids(
-        self, fdiff: FileDiff, before: dict[str, str], after: dict[str, str], path: str
-    ) -> FileDiff:
-        from dataclasses import replace
-
-        old_blob = Blob(before[path]).oid[:9] if path in before else ""
-        new_blob = Blob(after[path]).oid[:9] if path in after else ""
-        return replace(fdiff, old_blob=old_blob, new_blob=new_blob)
 
     def patch_for(self, sha: str) -> Patch:
         """Export commit *sha* as a :class:`Patch`."""

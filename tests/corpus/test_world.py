@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import TINY
 from repro.corpus import (
     NVD_TYPE_DISTRIBUTION,
     WILD_TYPE_DISTRIBUTION,
@@ -118,7 +119,21 @@ class TestPatchExport:
         assert np.mean(nvd_sizes) > np.mean(wild_sizes)
 
 
+#: World digests of the TINY preset: a change to the world builder that
+#: moves a byte of a world moves one of these.
+TINY_DIGESTS = {
+    0: "b6f3801282b1cecbb33ab6a9321597b4c750d7ba",
+    1: "f3531c4dc067adb8d4c9dee7dcbc8501cec7d721",
+    2: "b7142b722a1ed35530bcf3ea6959dd303ba8c13b",
+    3: "8737f441766bab8c14672d4de235ba9b30f753ba",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("seed", sorted(TINY_DIGESTS))
+    def test_tiny_world_digest_pinned(self, seed):
+        assert build_world(TINY.world_config(seed)).digest() == TINY_DIGESTS[seed]
+
     def test_same_seed_same_world(self):
         cfg = WorldConfig(n_commits=60, n_repos=3, seed=5)
         a = build_world(cfg)

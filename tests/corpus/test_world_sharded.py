@@ -87,14 +87,40 @@ class TestShardedSerialParity:
         )
 
 
+_OUTLINE_COUNTERS = (
+    "world_outline_full",
+    "world_outline_incremental",
+    "world_outline_fallback",
+    "world_outline_unparsable",
+)
+
+
 class TestObsCounterParity:
     def test_serial_and_parallel_counters_bit_identical(self):
         serial, parallel = ObsRegistry(), ObsRegistry()
         build_world(_tiny_config(13), workers=1, obs=serial)
         build_world(_tiny_config(13), workers=2, obs=parallel)
         assert parallel.counters == serial.counters
+        assert set(_OUTLINE_COUNTERS) <= set(serial.counters)
         assert parallel.calls("world.shard") == serial.calls("world.shard")
         assert len(parallel.histograms["world.shard"]) == len(serial.histograms["world.shard"])
+
+    def test_four_worker_counters_bit_identical(self):
+        serial, parallel = ObsRegistry(), ObsRegistry()
+        build_world(_tiny_config(13), workers=1, obs=serial)
+        build_world(_tiny_config(13), workers=4, obs=parallel)
+        assert parallel.counters == serial.counters
+        assert set(_OUTLINE_COUNTERS) <= set(serial.counters)
+
+    def test_outline_counts_equal_across_builds_in_one_process(self):
+        # Each shard outlines from its own index, so a second build of the
+        # same world parses exactly as much as the first.
+        first, second = ObsRegistry(), ObsRegistry()
+        build_world(_tiny_config(13), obs=first)
+        build_world(_tiny_config(13), obs=second)
+        counts = [{name: obs.count(name) for name in _OUTLINE_COUNTERS} for obs in (first, second)]
+        assert counts[0] == counts[1]
+        assert counts[0]["world_outline_incremental"] > 0
 
     def test_attempted_and_produced_counters_recorded(self):
         obs = ObsRegistry()

@@ -646,14 +646,10 @@ def _filtered(outcome, keep_comments: bool, keep_newlines: bool):
 
 
 def assert_same_front_end(
-    text: str, strict: bool = False, parsed=None, path: str = "", flags=_FLAGS
+    text: str, strict: bool = False, path: str = "", flags=_FLAGS
 ) -> None:
     """Tokens under each flag pair in *flags*, and the parse, equal the
-    reference's.
-
-    *parsed* is the production parse outcome of ``(text, path)`` when the
-    caller already has it.
-    """
+    reference's."""
     full = _outcome(reference_tokenize, text, True, True, strict)
     for keep_comments, keep_newlines in flags:
         got = _outcome(tokenize, text, keep_comments, keep_newlines, strict)
@@ -661,8 +657,7 @@ def assert_same_front_end(
         assert got == expected, (text, keep_comments, keep_newlines)
     if strict:
         return
-    if parsed is None:
-        parsed = _outcome(parse_translation_unit, text, path)
+    parsed = _outcome(parse_translation_unit, text, path)
     assert parsed == _outcome(_reference_parse, full[1], text, path), text
 
 
@@ -867,27 +862,22 @@ def test_function_body_matches_reference(text):
 
 
 @pytest.fixture(scope="module")
-def world_parses():
-    """Each text ``function_spans`` parses while TINY worlds 0-3 build, with
-    the production parse's outcome."""
-    parses: dict[str, tuple] = {}
+def world_texts():
+    """Each text the world builder lexes and parses while TINY worlds 0-3
+    build: the files it outlines in full and the edited regions between
+    reused spans (``function_spans``)."""
+    texts: list[str] = []
+    outline = mutate.outline_functions
 
-    def recording(source, path=""):
-        try:
-            unit = parse_translation_unit(source, path)
-        except Exception as exc:
-            parses[source] = ("raised", type(exc), str(exc))
-            raise
-        parses[source] = ("returned", unit)
-        return unit
+    def recording(source, line_offset=0):
+        texts.append(source)
+        return outline(source, line_offset)
 
-    mutate._parse_functions_cached.cache_clear()  # so every text is parsed
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mutate, "parse_translation_unit", recording)
+        mp.setattr(mutate, "outline_functions", recording)
         for seed in range(4):
             build_world(TINY.world_config(seed))
-    mutate._parse_functions_cached.cache_clear()  # holds the recorded parses
-    return parses
+    return list(dict.fromkeys(texts))
 
 
 @pytest.fixture(scope="module")
@@ -906,13 +896,13 @@ def synthesis_texts(experiment_world):
     return list(dict.fromkeys(texts))
 
 
-def test_world_build_texts_match_reference(world_parses):
+def test_world_build_texts_match_reference(world_texts):
     # The two flags gate COMMENT and NEWLINE output independently, so the
     # all-off and all-on pairs take each gate both ways; the mixed pairs
     # run on every other corpus.  That halves the cost of the largest one.
-    assert len(world_parses) > 1000
-    for text, parsed in world_parses.items():
-        assert_same_front_end(text, parsed=parsed, flags=[(False, False), (True, True)])
+    assert len(world_texts) > 1000
+    for text in world_texts:
+        assert_same_front_end(text, flags=[(False, False), (True, True)])
 
 
 def test_synthesis_texts_match_reference(synthesis_texts):

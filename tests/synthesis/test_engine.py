@@ -119,6 +119,23 @@ class TestSynthesizeFromTexts:
     def test_site_index_out_of_range(self):
         assert synthesize_from_texts(BEFORE, AFTER, "a.c", VARIANTS[0], site_index=99) is None
 
+    def test_form_feed_line_gives_the_same_variants_as_a_blank_line(self):
+        # The lexer breaks lines at "\n" only, so a form feed on a line of
+        # its own is blank space, and the if's coordinates must still land.
+        def variants(blank_line: str) -> list:
+            def with_line(text: str) -> str:
+                return text.replace("    int r = 0;\n", "    int r = 0;\n" + blank_line + "\n")
+
+            return [
+                synthesize_from_texts(with_line(BEFORE), with_line(AFTER), "a.c", variant)
+                for variant in VARIANTS
+            ]
+
+        blank = variants("")
+        form_feed = variants("\f")
+        assert len(blank) == 8 and None not in blank
+        assert [tuple(t.replace("\f", "") for t in pair) for pair in form_feed] == blank
+
 
 class TestPatchSynthesizer:
     def test_synthesizes_for_security_patches(self, tiny_world):

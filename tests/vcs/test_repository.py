@@ -119,6 +119,34 @@ class TestDiffAndPatch:
         assert diffs[0].is_deleted_file
 
 
+class TestBlobIds:
+    def test_commit_hashes_only_new_content(self, repo, monkeypatch):
+        import repro.vcs.objects as objects
+
+        kinds = []
+        real = objects.sha1_hex
+
+        def counting(kind, payload):
+            kinds.append(kind)
+            return real(kind, payload)
+
+        monkeypatch.setattr(objects, "sha1_hex", counting)
+        repo.commit({"src/a.c": "int z;\n", "README.md": "hi\n", "b.c": "int y;\n"}, "edit")
+        # The changed a.c and the new b.c; README.md keeps its blob id.
+        assert kinds.count("blob") == 2
+
+    def test_diff_blob_ids_are_the_snapshot_ids(self, repo):
+        (fdiff,) = repo.diff(repo.head)
+        assert fdiff.old_blob == Blob("int x;\n").oid[:9]
+        assert fdiff.new_blob == Blob("int x;\nint y;\n").oid[:9]
+        (created,) = [d for d in repo.diff(repo.shas()[0]) if d.path == "src/a.c"]
+        assert (created.old_blob, created.new_blob) == ("", Blob("int x;\n").oid[:9])
+
+    def test_empty_file_added_is_not_a_diff(self, repo):
+        repo.commit({**repo.checkout(repo.head), "empty.c": ""}, "touch")
+        assert repo.diff(repo.head) == ()
+
+
 class TestStats:
     def test_stats_at_head(self, repo):
         files, functions = repo.stats_at_head()
