@@ -15,7 +15,6 @@ reproduction target (EXPERIMENTS.md records both).
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +48,7 @@ from ..ml.model_cache import FittedModelCache, training_key
 from ..nvd.crawler import CrawlResult, NvdCrawler
 from ..nvd.database import NvdConfig, NvdDatabase, build_nvd
 from ..obs import ObsRegistry
-from ..persist import atomic_write
+from ..persist import load_cache, save_cache, source_digest
 from ..synthesis.engine import PatchSynthesizer
 from .distribution import (
     distribution_table,
@@ -125,13 +124,13 @@ MEDIUM = ExperimentScale("medium", n_commits=9000, n_repos=24, set1_size=2000, s
 class ExperimentWorld:
     """A built world plus the shared per-experiment infrastructure.
 
+    Construction always builds the world, its NVD and the crawl from
+    scratch; the feature and token caches start empty and fill in memory.
+    :meth:`cached` is the one way to reuse a built world across processes.
+
     Args:
         scale: corpus-size preset.
         seed: world RNG seed.
-        feature_cache: optional ``.npz`` path; vectors persist across
-            processes (see :class:`PatchFeatureCache`).
-        token_cache: optional pickle path; RNN token sequences persist
-            across processes (see :class:`TokenSequenceCache`).
         workers: process count for the sharded world build and the default
             for parallel feature extraction and token-cache warm-up; the
             built world is bit-identical at every worker count.
@@ -144,19 +143,13 @@ class ExperimentWorld:
             spans (``world.build``, ``nvd.build``, ``nvd.crawl``).
     """
 
-    #: Bumped when the pickled layout changes; stale disk caches rebuild.
-    #: Rev 5: sharded per-repo world RNG scheme + real commit weekdays
-    #: (world bytes and digests changed once), build_stats on World, and
-    #: patch caches dropped from pickles.
-    #: Rev 6: dataflow-mode checkers change lint deltas cached on worlds.
-    _CACHE_REV = 7
+    #: The ``format`` of the :meth:`cached` pickle's envelope.
+    _FORMAT = "repro-experiment-world"
 
     def __init__(
         self,
         scale: ExperimentScale,
         seed: int = 2021,
-        feature_cache: str | Path | None = None,
-        token_cache: str | Path | None = None,
         workers: int | None = None,
         ml_workers: int | None = None,
         obs: ObsRegistry | None = None,
@@ -165,7 +158,6 @@ class ExperimentWorld:
         self.seed = seed
         self.obs = obs if obs is not None else ObsRegistry()
         self.ml_workers = ml_workers
-        self._cache_rev = self._CACHE_REV
         with self.obs.span(
             "world.build", scale=scale.name, seed=seed, commits=scale.n_commits, workers=workers
         ):
@@ -174,18 +166,8 @@ class ExperimentWorld:
             self.nvd: NvdDatabase = build_nvd(self.world, NvdConfig(seed=seed + 1))
         with self.obs.span("nvd.crawl"):
             self.crawl: CrawlResult = NvdCrawler(self.world).crawl(self.nvd)
-        self.cache = PatchFeatureCache(
-            self.world,
-            persist_path=feature_cache,
-            obs=self.obs,
-            default_workers=workers,
-        )
-        self.tokens = TokenSequenceCache(
-            self.world,
-            persist_path=token_cache,
-            obs=self.obs,
-            default_workers=workers,
-        )
+        self.cache = PatchFeatureCache(self.world, obs=self.obs, default_workers=workers)
+        self.tokens = TokenSequenceCache(self.world, obs=self.obs, default_workers=workers)
         self._rng = np.random.default_rng(seed + 2)
         self._deltas = None
 
@@ -237,9 +219,10 @@ class ExperimentWorld:
         Records the scale preset (name and the counts it implies), the world
         seed and git-style world digest, the build's attempted-vs-produced
         commit accounting (so shard-merge parity is exactly checkable from
-        the manifest alone), and the library's cache revision; *extra* keys
-        (command name, wall clock, output paths …) are merged in by callers
-        like the CLI.  This is the first record of every exported trace file.
+        the manifest alone), and the :func:`~repro.persist.source_digest` of
+        the code that ran; *extra* keys (command name, wall clock, output
+        paths …) are merged in by callers like the CLI.  This is the first
+        record of every exported trace file.
         """
         stats = self.world.build_stats or {}
         base = {
@@ -256,7 +239,7 @@ class ExperimentWorld:
                 if stats
                 else None
             ),
-            "cache_rev": self._CACHE_REV,
+            "source_digest": source_digest(),
             "created_unix": time.time(),
         }
         base.update(extra)
@@ -298,28 +281,22 @@ class ExperimentWorld:
 
         World construction is the expensive part of every benchmark; caching
         it on disk makes reruns start in seconds (CI builds the SMALL
-        artifact once and shares it across jobs).  *workers* parallelizes a
+        artifact once and shares it across jobs).  The pickle, written right
+        after construction, loads and saves through
+        :func:`repro.persist.load_cache`/:func:`~repro.persist.save_cache`,
+        so a file from other code is rebuilt (``cache.stale`` on *obs*), as
+        is an unreadable one (``cache.corrupt``).  *workers* parallelizes a
         cold build; *obs* becomes the returned world's registry in both the
-        build and load paths.  The pickle is written atomically; an
-        unreadable one is rebuilt and, with *obs*, counts ``cache.corrupt``.
+        build and load paths.
         """
-        cache_dir = Path(cache_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"expworld_{scale.name}_{scale.n_commits}_{seed}.pkl"
-        if path.exists():
-            try:
-                with path.open("rb") as fh:
-                    loaded = pickle.load(fh)
-                if isinstance(loaded, cls) and getattr(loaded, "_cache_rev", 0) == cls._CACHE_REV:
-                    if obs is not None:
-                        loaded.rebind_obs(obs)
-                    return loaded
-            except Exception:
-                if obs is not None:
-                    obs.add("cache.corrupt")
-                path.unlink(missing_ok=True)
+        path = Path(cache_dir) / f"expworld_{scale.name}_{scale.n_commits}_{seed}.pkl"
+        loaded = load_cache(path, cls._FORMAT, obs)
+        if loaded is not None:
+            if obs is not None:
+                loaded.rebind_obs(obs)
+            return loaded
         built = cls(scale, seed, workers=workers, obs=obs)
-        atomic_write(path, lambda fh: pickle.dump(built, fh))
+        save_cache(path, cls._FORMAT, built)
         return built
 
 

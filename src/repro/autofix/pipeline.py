@@ -34,6 +34,7 @@ from ..lang.ast_nodes import IfStmt, walk
 from ..lang.parser import parse_translation_unit
 from ..obs import ObsRegistry
 from ..parallel import map_chunks
+from ..patch.model import split_lines
 from ..staticcheck.analyzer import CODE_SUFFIXES, analyze_source
 from ..staticcheck.checkers import Checker, make_checkers
 from ..staticcheck.dataflow import FunctionFlow
@@ -221,7 +222,7 @@ def _candidates(planted: str, plant: FlawPlant, finding_line: int) -> list[str]:
         return [repaired]
     out = []
     for start, end in ((finding_line, finding_line), (finding_line, finding_line + 1), (finding_line - 1, finding_line)):
-        lines = planted.splitlines()
+        lines = split_lines(planted)
         if not (1 <= start and end <= len(lines)):
             continue
         kept = lines[: start - 1] + lines[end:]

@@ -17,7 +17,7 @@ Commands:
 
 Shared flags come from two parent parsers instead of per-subcommand
 re-declarations: ``_world_parent()`` (``--scale``/``--seed``/``--workers``/
-``--world-cache``/``--feature-cache``) and ``_obs_parent()`` (``--stats``,
+``--world-cache``) and ``_obs_parent()`` (``--stats``,
 ``--stats-json PATH`` with machine-readable merged timers and counters,
 ``--trace PATH`` with a JSONL span trace for ``repro trace``).
 
@@ -58,23 +58,26 @@ from .patch.gitformat import parse_patch
 _SCALES = {"tiny": TINY, "small": SMALL, "medium": MEDIUM}
 
 
-def _experiment_world(args: argparse.Namespace, obs: ObsRegistry, **kwargs) -> ExperimentWorld:
+def _experiment_world(
+    args: argparse.Namespace, obs: ObsRegistry, ml_workers: int | None = None
+) -> ExperimentWorld:
     """Construct the command's ExperimentWorld, honoring the shared flags.
 
     ``--workers`` parallelizes the sharded world build (and seeds the
     caches' default worker count); ``--world-cache DIR`` loads/persists the
     whole built world as an ``ExperimentWorld.cached`` pickle so repeated
     runs (and CI jobs sharing the artifact) skip construction entirely.
+    *ml_workers* is set on the built and the loaded world alike.
     """
     scale = _SCALES[args.scale]
     if getattr(args, "world_cache", None):
         ew = ExperimentWorld.cached(
             scale, seed=args.seed, cache_dir=args.world_cache, workers=args.workers, obs=obs
         )
-        if "ml_workers" in kwargs:
-            ew.ml_workers = kwargs["ml_workers"]
-        return ew
-    return ExperimentWorld(scale, seed=args.seed, workers=args.workers, obs=obs, **kwargs)
+    else:
+        ew = ExperimentWorld(scale, seed=args.seed, workers=args.workers, obs=obs)
+    ew.ml_workers = ml_workers
+    return ew
 
 
 def _emit_observability(
@@ -101,14 +104,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     obs = ObsRegistry()
     with obs.span("cli.build", scale=scale.name, seed=args.seed):
-        ew = _experiment_world(args, obs, feature_cache=args.feature_cache)
+        ew = _experiment_world(args, obs)
         db = build_patchdb(ew, synthesize=not args.no_synthetic)
         db.save_jsonl(args.output)
     for key, value in db.summary().items():
         print(f"{key:>24s}: {value}")
-    if args.feature_cache:
-        path = ew.cache.save(args.feature_cache)
-        print(f"persisted {len(ew.cache)} feature vectors to {path}", file=sys.stderr)
     _emit_observability(
         args,
         ew.obs,
@@ -129,7 +129,7 @@ def _cmd_augment(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     obs = ObsRegistry()
     with obs.span("cli.augment", scale=scale.name, seed=args.seed):
-        ew = _experiment_world(args, obs, feature_cache=args.feature_cache)
+        ew = _experiment_world(args, obs)
         outcome = run_table2(ew)
     print("Table II — wild-based dataset construction")
     print(outcome.table())
@@ -137,9 +137,6 @@ def _cmd_augment(args: argparse.Namespace) -> int:
         f"wild security patches found: {outcome.wild_security_count} "
         f"(seed {len(ew.nvd_seed_shas)} NVD patches)"
     )
-    if args.feature_cache:
-        path = ew.cache.save(args.feature_cache)
-        print(f"persisted {len(ew.cache)} feature vectors to {path}", file=sys.stderr)
     _emit_observability(
         args,
         ew.obs,
@@ -164,13 +161,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     obs = ObsRegistry()
     with obs.span("cli.evaluate", scale=scale.name, seed=args.seed, tables=args.tables):
-        ew = _experiment_world(
-            args,
-            obs,
-            feature_cache=args.feature_cache,
-            token_cache=args.token_cache,
-            ml_workers=args.ml_workers,
-        )
+        ew = _experiment_world(args, obs, ml_workers=args.ml_workers)
         models = None
         if args.model_cache:
             from .ml.model_cache import FittedModelCache
@@ -189,12 +180,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.model_cache and models is not None:
         models.save()
         print(f"persisted {len(models)} fitted models to {args.model_cache}", file=sys.stderr)
-    if args.feature_cache:
-        path = ew.cache.save(args.feature_cache)
-        print(f"persisted {len(ew.cache)} feature vectors to {path}", file=sys.stderr)
-    if args.token_cache:
-        path = ew.tokens.save(args.token_cache)
-        print(f"persisted {len(ew.tokens)} token sequences to {path}", file=sys.stderr)
     _emit_observability(
         args,
         ew.obs,
@@ -538,7 +523,7 @@ def _make_service(args: argparse.Namespace, obs: ObsRegistry):
     from .ml.model_cache import FittedModelCache
     from .serve import PatchDBService, ServeTelemetry
 
-    ew = _experiment_world(args, obs, feature_cache=args.feature_cache)
+    ew = _experiment_world(args, obs)
     if args.patchdb:
         _read_text(args.patchdb, "PatchDB JSONL")  # clean error on a bad path
         db = PatchDB.load_jsonl(args.patchdb)
@@ -623,7 +608,7 @@ def _obs_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _world_parent(feature_cache: bool = True) -> argparse.ArgumentParser:
+def _world_parent() -> argparse.ArgumentParser:
     """Parent parser: the shared world-building flags.
 
     Every command that constructs a world gets the same ``--scale``/
@@ -646,13 +631,6 @@ def _world_parent(feature_cache: bool = True) -> argparse.ArgumentParser:
         metavar="DIR",
         help="load/persist the whole built world as an ExperimentWorld pickle in DIR",
     )
-    if feature_cache:
-        parent.add_argument(
-            "--feature-cache",
-            default=None,
-            metavar="NPZ",
-            help="persist/reuse feature vectors at this .npz path",
-        )
     return parent
 
 
@@ -701,12 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
         "results are bit-identical to the serial default",
     )
     p_eval.add_argument(
-        "--token-cache",
-        default=None,
-        metavar="PKL",
-        help="persist/reuse RNN token sequences at this pickle path",
-    )
-    p_eval.add_argument(
         "--model-cache",
         default=None,
         metavar="PKL",
@@ -738,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="run the static-analysis suite (validation gate without a target)",
-        parents=[_world_parent(feature_cache=False), obs_parent],
+        parents=[world_parent, obs_parent],
     )
     p_lint.add_argument(
         "target",
@@ -777,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser(
         "autofix",
         help="closed-loop find→patch→verify repair over a built world",
-        parents=[_world_parent(feature_cache=False), obs_parent],
+        parents=[world_parent, obs_parent],
     )
     p_fix.add_argument(
         "--kinds",

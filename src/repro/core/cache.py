@@ -8,29 +8,24 @@ so the augmentation loop, baselines, and quality experiments share one
 cache; :class:`TokenSequenceCache` additionally memoizes patches that live
 outside the world (synthetic patches) by their deterministic shas.
 
-Two scale features sit on top of the in-memory map:
+**Chunked parallel extraction** — ``matrix(shas, workers=N)`` and
+``sequences(shas, workers=N)`` hand the not-yet-cached shas to
+:func:`repro.parallel.map_chunks`, which fans them out to a process pool
+when there are at least two per worker.  The pool receives the world once
+per worker and runs the same per-sha function as the serial path, so
+results and merged obs counters are identical to serial extraction.  Only
+pool-infrastructure failures fall back to serial (counted in
+``pool_fallback.extract`` / ``pool_fallback.tokenize``); an error raised
+while extracting propagates.
 
-* **Chunked parallel extraction** — ``matrix(shas, workers=N)`` and
-  ``sequences(shas, workers=N)`` hand the not-yet-cached shas to
-  :func:`repro.parallel.map_chunks`, which fans them out to a process pool
-  when there are at least two per worker.  The pool receives the world
-  once per worker and runs the same per-sha function as the serial path,
-  so results and merged obs counters are identical to serial extraction.
-  Only pool-infrastructure failures fall back to serial (counted in
-  ``pool_fallback.extract`` / ``pool_fallback.tokenize``); an error raised
-  while extracting propagates.
-* **On-disk persistence** — an optional ``.npz`` file keyed by sha lets CLI
-  runs and benchmarks reuse vectors across processes.  The file stores the
-  sha list and the stacked matrix plus the ``use_repo_context`` flag; a
-  flag mismatch ignores the file rather than serving wrong vectors.  Saves
-  are atomic (:func:`repro.persist.atomic_write`); an unreadable file is a
-  cold cache and counts ``cache.corrupt``.
+Both caches live in memory only and start empty in every process.  What
+pays across processes is the ``ExperimentWorld`` pickle (``--world-cache``),
+which skips world construction; re-extracting the vectors and tokens after
+it costs less than world construction (EXPERIMENTS.md, "Persist only what
+pays").
 """
 
 from __future__ import annotations
-
-import pickle
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +36,6 @@ from ..ml.tokenizer import patch_token_sequence
 from ..obs import ObsRegistry
 from ..parallel import map_chunks
 from ..patch.model import Patch
-from ..persist import atomic_write
 
 __all__ = ["PatchFeatureCache", "TokenSequenceCache"]
 
@@ -98,8 +92,6 @@ class PatchFeatureCache:
     Args:
         world: the world whose commits are cached.
         use_repo_context: give extractors repository-size denominators.
-        persist_path: optional ``.npz`` file to preload from (if present)
-            and to write via :meth:`save`.
         obs: observability registry; a private one is created if omitted.
     """
 
@@ -107,7 +99,6 @@ class PatchFeatureCache:
         self,
         world: World,
         use_repo_context: bool = True,
-        persist_path: str | Path | None = None,
         obs: ObsRegistry | None = None,
         default_workers: int | None = None,
     ) -> None:
@@ -115,55 +106,8 @@ class PatchFeatureCache:
         self._vectors: dict[str, np.ndarray] = {}
         self._extractors: dict[str, FeatureExtractor] = {}
         self._use_context = use_repo_context
-        self._persist_path = Path(persist_path) if persist_path is not None else None
         self.obs = obs if obs is not None else ObsRegistry()
         self.default_workers = default_workers
-        if self._persist_path is not None and self._persist_path.exists():
-            self._load_npz(self._persist_path)
-
-    # ---- persistence ------------------------------------------------------
-
-    def _load_npz(self, path: Path) -> None:
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                if bool(data["use_repo_context"]) != self._use_context:
-                    return
-                shas = data["shas"]
-                matrix = np.asarray(data["matrix"], dtype=np.float64)
-        except Exception:
-            self.obs.add("cache.corrupt")
-            return  # a corrupt cache file is just a cold cache
-        if matrix.ndim != 2 or matrix.shape != (len(shas), FEATURE_COUNT):
-            return
-        for sha, row in zip(shas, matrix):
-            self._vectors[str(sha)] = row
-        self.obs.add("npz_vectors_loaded", len(shas))
-
-    def save(self, path: str | Path | None = None) -> Path:
-        """Write every cached vector to ``.npz`` (sha-keyed); returns the path.
-
-        Raises:
-            ValueError: if no path was given here or at construction.
-        """
-        target = Path(path) if path is not None else self._persist_path
-        if target is None:
-            raise ValueError("no persist path configured for PatchFeatureCache.save")
-        shas = sorted(self._vectors)
-        matrix = (
-            np.vstack([self._vectors[s] for s in shas])
-            if shas
-            else np.zeros((0, FEATURE_COUNT), dtype=np.float64)
-        )
-        # Through an open handle, so numpy keeps the temp name as given.
-        return atomic_write(
-            target,
-            lambda fh: np.savez_compressed(
-                fh,
-                shas=np.array(shas, dtype="U40"),
-                matrix=matrix,
-                use_repo_context=np.array(self._use_context),
-            ),
-        )
 
     # ---- extraction -------------------------------------------------------
 
@@ -224,68 +168,22 @@ class TokenSequenceCache:
     Args:
         world: the world whose commits are cached.
         include_context: tokenize context lines too (off, like the paper).
-        persist_path: optional pickle file to preload from (if present)
-            and to write via :meth:`save`.  A corrupt or mismatched file is
-            treated as a cold cache.
         obs: observability registry; a private one is created if omitted.
         default_workers: default process count for :meth:`sequences` warm-up.
     """
-
-    _FORMAT = "repro-token-cache-v1"
 
     def __init__(
         self,
         world: World,
         include_context: bool = False,
-        persist_path: str | Path | None = None,
         obs: ObsRegistry | None = None,
         default_workers: int | None = None,
     ) -> None:
         self._world = world
         self._include_context = include_context
         self._sequences: dict[str, list[str]] = {}
-        self._persist_path = Path(persist_path) if persist_path is not None else None
         self.obs = obs if obs is not None else ObsRegistry()
         self.default_workers = default_workers
-        if self._persist_path is not None and self._persist_path.exists():
-            self._load(self._persist_path)
-
-    # ---- persistence ------------------------------------------------------
-
-    def _load(self, path: Path) -> None:
-        try:
-            with path.open("rb") as fh:
-                data = pickle.load(fh)
-            if (
-                not isinstance(data, dict)
-                or data.get("format") != self._FORMAT
-                or data.get("include_context") != self._include_context
-            ):
-                return
-            sequences = data["sequences"]
-            if not isinstance(sequences, dict):
-                return
-        except Exception:
-            self.obs.add("cache.corrupt")
-            return  # a corrupt cache file is just a cold cache
-        self._sequences.update(sequences)
-        self.obs.add("token_sequences_loaded", len(sequences))
-
-    def save(self, path: str | Path | None = None) -> Path:
-        """Write every cached sequence to a pickle file; returns the path.
-
-        Raises:
-            ValueError: if no path was given here or at construction.
-        """
-        target = Path(path) if path is not None else self._persist_path
-        if target is None:
-            raise ValueError("no persist path configured for TokenSequenceCache.save")
-        payload = {
-            "format": self._FORMAT,
-            "include_context": self._include_context,
-            "sequences": self._sequences,
-        }
-        return atomic_write(target, lambda fh: pickle.dump(payload, fh))
 
     # ---- tokenization -----------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..patch.model import split_lines
 from .codegen import CodeGenerator
 from .mutate import (
     body_range,
@@ -71,7 +72,7 @@ def gen_refactor(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     idents = [i for i in identifiers_in(lines[lo : hi + 1]) if len(i) > 2]
     if not idents:
@@ -96,7 +97,7 @@ def gen_perf(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     loops = [i for i in range(lo, hi + 1) if lines[i].strip().startswith(("for ", "for(", "while "))]
     if loops and rng.random() < 0.6:
@@ -135,7 +136,7 @@ def gen_bugfix(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     roll = rng.random()
     if roll < 0.4:
@@ -182,7 +183,7 @@ def gen_cleanup(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     anchors = statement_line_indices(lines, lo, hi)
     if len(anchors) < 3:
@@ -198,7 +199,7 @@ def gen_logging(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     anchors = statement_line_indices(lines, lo, hi)
     if not anchors:
@@ -229,7 +230,7 @@ def gen_defensive(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     anchors = statement_line_indices(lines, lo, hi)
     if not anchors:

@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..patch.model import split_lines
 from .codegen import CodeGenerator
 from .mutate import (
     body_range,
@@ -75,7 +76,7 @@ def _pick_function_body(text: str, rng: np.random.Generator):
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     lo, hi = body_range(fn)
     if hi <= lo:
         return None
@@ -212,7 +213,7 @@ def gen_func_declaration(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     sig_idx = fn.start_line - 1
     swaps = {"int ": "long ", "void ": "int ", "size_t ": "ssize_t ", "long ": "int "}
     for old, new in swaps.items():
@@ -229,7 +230,7 @@ def gen_func_parameters(text: str, rng: np.random.Generator) -> str | None:
     if not fns:
         return None
     fn = pick(rng, fns)
-    lines = text.splitlines()
+    lines = split_lines(text)
     sig_idx = fn.start_line - 1
     sig = lines[sig_idx]
     close = sig.rfind(")")

@@ -2,32 +2,32 @@
 
 The Table IV/VI fits — and the serve layer's classify-on-demand model —
 are pure functions of (training shas, labels, estimator configuration).
-:class:`FittedModelCache` memoizes those fits the way
-:class:`~repro.core.cache.TokenSequenceCache` memoizes token sequences:
-an in-memory map in front of an optional pickle file, written atomically,
-where a corrupt, truncated, or format-mismatched file degrades to a cold
-cache instead of an error (an unreadable one also counts ``cache.corrupt``).  Re-evaluating with a changed test set (train set unchanged)
-then costs zero training, and a warmed server classifies requests without
-ever fitting per request.
+:class:`FittedModelCache` memoizes those fits in memory, in front of an
+optional pickle file that loads and saves through
+:func:`repro.persist.load_cache`/:func:`~repro.persist.save_cache`: the
+file records the code that wrote it, and a file from other code
+(``cache.stale``) or an unreadable one (``cache.corrupt``) is a cold cache
+instead of an error.  Re-evaluating with a changed test set (train set
+unchanged) then costs zero training, and a warmed server classifies
+requests without ever fitting per request.
 
 The key is computed by :func:`training_key`: a sha256 over the sorted
 ``(sha, label)`` pairs plus a canonical JSON encoding of the estimator
 configuration and the cache format revision.  Sorting makes the key
 order-insensitive — the same labeled set always maps to the same fitted
-model — while any change to the data, the labels, the hyperparameters, or
-the pickled layout produces a different key and therefore a clean miss.
+model — while any change to the data, the labels, the hyperparameters,
+or the format revision produces a different key and therefore a clean miss.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from ..obs import ObsRegistry, trace_span
-from ..persist import atomic_write
+from ..persist import load_cache, save_cache
 
 __all__ = ["FittedModelCache", "training_key"]
 
@@ -60,12 +60,12 @@ class FittedModelCache:
 
     Args:
         persist_path: optional pickle file to preload from (if present)
-            and to write via :meth:`save`.  A corrupt or mismatched file
-            is treated as a cold cache, mirroring
-            :class:`~repro.core.cache.TokenSequenceCache`.
+            and to write via :meth:`save`.  A stale or unreadable file is
+            treated as a cold cache.
         obs: observability registry for ``model_cache_hits`` /
-            ``model_cache_misses`` / ``models_loaded`` counters and the
-            ``model_fit`` timer; a private one is created if omitted.
+            ``model_cache_misses`` / ``models_loaded`` / ``cache.stale`` /
+            ``cache.corrupt`` counters and the ``model_fit`` timer; a
+            private one is created if omitted.
     """
 
     _FORMAT = "repro-model-cache-v1"
@@ -78,25 +78,13 @@ class FittedModelCache:
         self._models: dict[str, Any] = {}
         self._persist_path = Path(persist_path) if persist_path is not None else None
         self.obs = obs if obs is not None else ObsRegistry()
-        if self._persist_path is not None and self._persist_path.exists():
-            self._load(self._persist_path)
+        if self._persist_path is not None:
+            models = load_cache(self._persist_path, self._FORMAT, self.obs)
+            if models is not None:
+                self._models.update(models)
+                self.obs.add("models_loaded", len(models))
 
     # ---- persistence ------------------------------------------------------
-
-    def _load(self, path: Path) -> None:
-        try:
-            with path.open("rb") as fh:
-                data = pickle.load(fh)
-            if not isinstance(data, dict) or data.get("format") != self._FORMAT:
-                return
-            models = data["models"]
-            if not isinstance(models, dict):
-                return
-        except Exception:
-            self.obs.add("cache.corrupt")
-            return  # a corrupt cache file is just a cold cache
-        self._models.update(models)
-        self.obs.add("models_loaded", len(models))
 
     def save(self, path: str | Path | None = None) -> Path:
         """Write every cached model to a pickle file; returns the path.
@@ -107,8 +95,7 @@ class FittedModelCache:
         target = Path(path) if path is not None else self._persist_path
         if target is None:
             raise ValueError("no persist path configured for FittedModelCache.save")
-        payload = {"format": self._FORMAT, "models": self._models}
-        return atomic_write(target, lambda fh: pickle.dump(payload, fh))
+        return save_cache(target, self._FORMAT, self._models)
 
     # ---- lookup -----------------------------------------------------------
 

@@ -54,11 +54,10 @@ Counter names in use: ``world_commits_attempted``,
 ``world_outline_incremental``, ``world_outline_fallback``,
 ``world_outline_unparsable`` (how each text the world builder's generators
 read was outlined; see :func:`repro.corpus.mutate.function_spans`),
-``vectors_extracted``, ``vector_cache_hits``,
-``npz_vectors_loaded``, ``distance_cells_computed``,
+``vectors_extracted``, ``vector_cache_hits``, ``distance_cells_computed``,
 ``distance_cells_reused``, ``distance_full_recomputes``,
 ``distance_incremental_updates``, ``token_cache_hits``,
-``token_cache_misses``, ``token_sequences_loaded``, ``fits_serial``,
+``token_cache_misses``, ``fits_serial``,
 ``fits_parallel``, ``rf_trees_serial``, ``rf_trees_parallel``,
 ``files_linted``, ``lint_findings``, ``lint_<checker>`` (one per checker
 id, dashes as underscores), ``variant_equiv_checks``,
@@ -70,7 +69,9 @@ posting-list planner vs. the scan path), ``render_cache.hit``,
 ``pool_fallback.<name>`` (a :func:`~repro.parallel.map_chunks` pool that
 could not start, lost a worker, or could not pickle a chunk, so ran
 serially; ``<name>`` is the pool's timer prefix), ``cache.corrupt`` (an
-unreadable persisted cache file treated as a cold cache).
+unreadable persisted cache file treated as a cold cache), ``cache.stale``
+(a readable one written under another format or by other code, also a cold
+cache; see :mod:`repro.persist`).
 """
 
 from __future__ import annotations

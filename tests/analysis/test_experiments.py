@@ -59,6 +59,32 @@ class TestExperimentWorld:
         loaded = ExperimentWorld.cached(TINY, seed=7, cache_dir=tmp_path, obs=ObsRegistry())
         assert loaded.world.digest() == built.world.digest()
 
+    def test_stale_disk_cache_rebuilt_and_counted(self, tmp_path, monkeypatch):
+        from repro import persist
+        from repro.analysis.experiments import TINY, ExperimentWorld
+        from repro.obs import ObsRegistry
+
+        path = tmp_path / f"expworld_tiny_{TINY.n_commits}_7.pkl"
+        monkeypatch.setattr(persist, "source_digest", lambda: "0" * 64)
+        persist.save_cache(path, ExperimentWorld._FORMAT, "a world from other code")
+        monkeypatch.undo()
+        obs = ObsRegistry()
+        built = ExperimentWorld.cached(TINY, seed=7, cache_dir=tmp_path, obs=obs)
+        assert obs.count("cache.stale") == 1
+        assert obs.count("cache.corrupt") == 0
+        assert list(tmp_path.iterdir()) == [path]
+        warm = ObsRegistry()
+        loaded = ExperimentWorld.cached(TINY, seed=7, cache_dir=tmp_path, obs=warm)
+        assert loaded.world.digest() == built.world.digest()
+        assert warm.count("cache.stale") == warm.count("cache.corrupt") == 0
+
+    def test_manifest_records_source_digest(self, experiment_world):
+        from repro.persist import source_digest
+
+        manifest = experiment_world.manifest()
+        assert manifest["source_digest"] == source_digest()
+        assert "cache_rev" not in manifest
+
 
 class TestTable2:
     def test_five_rounds(self, experiment_world):

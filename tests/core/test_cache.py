@@ -66,47 +66,6 @@ class TestParallelExtraction:
         assert cache.matrix(shas, workers=8).shape == (3, FEATURE_COUNT)
 
 
-class TestNpzPersistence:
-    def test_round_trip(self, tiny_world, tmp_path):
-        shas = tiny_world.all_shas()[:25]
-        path = tmp_path / "vectors.npz"
-        cache = PatchFeatureCache(tiny_world, persist_path=path)
-        matrix = cache.matrix(shas)
-        cache.save()
-        assert path.exists()
-
-        reloaded = PatchFeatureCache(tiny_world, persist_path=path)
-        assert len(reloaded) == len(set(shas))
-        assert reloaded.obs.count("npz_vectors_loaded") == len(set(shas))
-        assert np.array_equal(reloaded.matrix(shas), matrix)
-        assert reloaded.obs.count("vectors_extracted") == 0
-
-    def test_save_without_path_raises(self, tiny_world):
-        with pytest.raises(ValueError):
-            PatchFeatureCache(tiny_world).save()
-
-    def test_save_to_explicit_path(self, tiny_world, tmp_path):
-        cache = PatchFeatureCache(tiny_world)
-        cache.vector(tiny_world.all_shas()[0])
-        target = cache.save(tmp_path / "explicit.npz")
-        assert target.exists()
-
-    def test_corrupt_file_is_cold_cache(self, tiny_world, tmp_path):
-        path = tmp_path / "vectors.npz"
-        path.write_bytes(b"not an npz archive")
-        cache = PatchFeatureCache(tiny_world, persist_path=path)
-        assert len(cache) == 0
-        assert cache.vector(tiny_world.all_shas()[0]).shape == (FEATURE_COUNT,)
-
-    def test_context_flag_mismatch_ignored(self, tiny_world, tmp_path):
-        path = tmp_path / "vectors.npz"
-        cache = PatchFeatureCache(tiny_world, use_repo_context=True, persist_path=path)
-        cache.vector(tiny_world.all_shas()[0])
-        cache.save()
-        other = PatchFeatureCache(tiny_world, use_repo_context=False, persist_path=path)
-        assert len(other) == 0  # contextless vectors differ; file must be ignored
-
-
 class TestTokenSequenceCache:
     def test_matches_direct_tokenization(self, tiny_world):
         cache = TokenSequenceCache(tiny_world)
@@ -140,99 +99,3 @@ class TestTokenSequenceCache:
         serial = TokenSequenceCache(tiny_world).sequences(shas)
         parallel = TokenSequenceCache(tiny_world).sequences(shas, workers=2)
         assert serial == parallel
-
-    def test_persistence_round_trip(self, tiny_world, tmp_path):
-        path = tmp_path / "tokens.pkl"
-        shas = tiny_world.all_shas()[:15]
-        cache = TokenSequenceCache(tiny_world, persist_path=path)
-        seqs = cache.sequences(shas)
-        cache.save()
-        assert path.exists()
-
-        reloaded = TokenSequenceCache(tiny_world, persist_path=path)
-        assert len(reloaded) == len(set(shas))
-        assert reloaded.obs.count("token_sequences_loaded") == len(set(shas))
-        assert reloaded.sequences(shas) == seqs
-        assert reloaded.obs.count("token_cache_misses") == 0
-
-    def test_save_without_path_raises(self, tiny_world):
-        with pytest.raises(ValueError):
-            TokenSequenceCache(tiny_world).save()
-
-    def test_corrupt_file_is_cold_cache(self, tiny_world, tmp_path):
-        path = tmp_path / "tokens.pkl"
-        path.write_bytes(b"not a pickle")
-        cache = TokenSequenceCache(tiny_world, persist_path=path)
-        assert len(cache) == 0
-        assert cache.sequence(tiny_world.all_shas()[0])
-
-    def test_context_flag_mismatch_ignored(self, tiny_world, tmp_path):
-        path = tmp_path / "tokens.pkl"
-        cache = TokenSequenceCache(tiny_world, include_context=True, persist_path=path)
-        cache.sequence(tiny_world.all_shas()[0])
-        cache.save()
-        other = TokenSequenceCache(tiny_world, include_context=False, persist_path=path)
-        assert len(other) == 0  # context tokens differ; file must be ignored
-
-
-class TestCrashSafePersistence:
-    """Saves replace the file atomically; unreadable files are counted."""
-
-    def test_failed_token_save_keeps_previous_file(self, tiny_world, tmp_path, monkeypatch):
-        path = tmp_path / "tokens.pkl"
-        cache = TokenSequenceCache(tiny_world, persist_path=path)
-        cache.sequences(tiny_world.all_shas()[:5])
-        cache.save()
-        cache.sequences(tiny_world.all_shas()[5:10])
-
-        def torn_dump(obj, fh):
-            fh.write(b"\x80\x04partial")
-            raise RuntimeError("crash mid-save")
-
-        monkeypatch.setattr("repro.core.cache.pickle.dump", torn_dump)
-        with pytest.raises(RuntimeError, match="crash mid-save"):
-            cache.save()
-        monkeypatch.undo()
-        reloaded = TokenSequenceCache(tiny_world, persist_path=path)
-        assert len(reloaded) == 5
-        assert reloaded.obs.count("cache.corrupt") == 0
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_failed_npz_save_keeps_previous_file(self, tiny_world, tmp_path, monkeypatch):
-        path = tmp_path / "vectors.npz"
-        cache = PatchFeatureCache(tiny_world, persist_path=path)
-        cache.matrix(tiny_world.all_shas()[:4])
-        cache.save()
-
-        def torn_savez(fh, **arrays):
-            fh.write(b"PK\x03\x04partial")
-            raise RuntimeError("crash mid-save")
-
-        monkeypatch.setattr(np, "savez_compressed", torn_savez)
-        with pytest.raises(RuntimeError, match="crash mid-save"):
-            cache.save()
-        monkeypatch.undo()
-        reloaded = PatchFeatureCache(tiny_world, persist_path=path)
-        assert len(reloaded) == 4
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_npz_save_keeps_its_name(self, tiny_world, tmp_path):
-        cache = PatchFeatureCache(tiny_world)
-        cache.vector(tiny_world.all_shas()[0])
-        target = cache.save(tmp_path / "vectors.cache")
-        assert list(tmp_path.iterdir()) == [target]
-        assert len(PatchFeatureCache(tiny_world, persist_path=target)) == 1
-
-    def test_garbage_token_cache_is_counted(self, tiny_world, tmp_path):
-        path = tmp_path / "tokens.pkl"
-        path.write_bytes(b"\x00garbage bytes, not a pickle")
-        cache = TokenSequenceCache(tiny_world, persist_path=path)
-        assert len(cache) == 0
-        assert cache.obs.count("cache.corrupt") == 1
-
-    def test_garbage_npz_is_counted(self, tiny_world, tmp_path):
-        path = tmp_path / "vectors.npz"
-        path.write_bytes(b"not an npz archive")
-        cache = PatchFeatureCache(tiny_world, persist_path=path)
-        assert len(cache) == 0
-        assert cache.obs.count("cache.corrupt") == 1

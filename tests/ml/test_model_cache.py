@@ -1,5 +1,7 @@
 """Tests for the persisted fitted-model cache and its training-set keying."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,45 @@ def test_garbage_pickle_counts_cache_corrupt(tmp_path):
     cache = FittedModelCache(persist_path=path)
     assert len(cache) == 0
     assert cache.obs.count("cache.corrupt") == 1
+
+
+class TestStaleAndCorrupt:
+    """The model pickle loads through :mod:`repro.persist`'s envelope."""
+
+    def test_producer_mismatch_is_cold_and_counted_stale(self, tmp_path, monkeypatch):
+        from repro import persist
+
+        path = tmp_path / "models.pkl"
+        cache = FittedModelCache(persist_path=path)
+        cache.put(training_key(SHAS, LABELS, CONFIG), _fit_model()[0])
+        monkeypatch.setattr(persist, "source_digest", lambda: "0" * 64)
+        cache.save()
+        monkeypatch.undo()
+        cold = FittedModelCache(persist_path=path)
+        assert len(cold) == 0
+        assert cold.obs.count("cache.stale") == 1
+        assert cold.obs.count("cache.corrupt") == 0
+        assert cold.obs.count("models_loaded") == 0
+
+    def test_format_mismatch_is_counted_stale(self, tmp_path):
+        path = tmp_path / "models.pkl"
+        path.write_bytes(pickle.dumps({"format": "other-v9", "models": {"k": 1}}))
+        cache = FittedModelCache(persist_path=path)
+        assert cache.obs.count("cache.stale") == 1
+        assert cache.obs.count("cache.corrupt") == 0
+
+    def test_garbage_is_not_counted_stale(self, tmp_path):
+        path = tmp_path / "models.pkl"
+        path.write_bytes(b"\x00garbage bytes, not a pickle")
+        cache = FittedModelCache(persist_path=path)
+        assert cache.obs.count("cache.corrupt") == 1
+        assert cache.obs.count("cache.stale") == 0
+
+    def test_warm_load_counts_nothing_stale(self, tmp_path):
+        path = tmp_path / "models.pkl"
+        cache = FittedModelCache(persist_path=path)
+        cache.put("k", _fit_model()[0])
+        cache.save()
+        warm = FittedModelCache(persist_path=path)
+        assert warm.obs.count("models_loaded") == 1
+        assert warm.obs.count("cache.stale") == warm.obs.count("cache.corrupt") == 0

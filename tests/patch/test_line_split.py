@@ -81,3 +81,30 @@ class TestRoundTrip:
         (parsed,) = parse_file_diffs(render_file_diff(fdiff))
         assert parsed.hunks == fdiff.hunks
         assert apply_file_diff(old_text, parsed) == new_text
+
+
+#: The ``str.splitlines()`` calls allowed in ``src/repro``, none over C
+#: source or patch text: the JSONL reader of exported traces and the
+#: commit-message indentation of ``format_patch``.
+SPLITLINES_ALLOWED = {"trace.py": 1, "patch/gitformat.py": 1}
+
+
+def test_no_new_splitlines_in_src():
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    calls = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        n = sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "splitlines"
+            for node in ast.walk(tree)
+        )
+        if n:
+            calls[path.relative_to(root).as_posix()] = n
+    assert calls == SPLITLINES_ALLOWED, "split C source and patch text with repro.patch.split_lines"

@@ -169,7 +169,6 @@ class TestBuildAndStats:
 
     def test_build_with_feature_cache_workers_and_stats(self, tmp_path, capsys):
         out_path = tmp_path / "db.jsonl"
-        npz_path = tmp_path / "vectors.npz"
         assert (
             main(
                 [
@@ -180,8 +179,6 @@ class TestBuildAndStats:
                     "--no-synthetic",
                     "--workers",
                     "2",
-                    "--feature-cache",
-                    str(npz_path),
                     "--stats",
                 ]
             )
@@ -189,15 +186,13 @@ class TestBuildAndStats:
         )
         err = capsys.readouterr().err
         assert out_path.exists()
-        assert npz_path.exists()
-        assert "persisted" in err
         assert "phase timings:" in err
         assert "vectors_extracted" in err
+        assert "vector_cache_hits" in err
 
 
 class TestEvaluate:
-    def test_table6_with_engine_and_token_cache(self, tmp_path, capsys):
-        pkl_path = tmp_path / "tokens.pkl"
+    def test_table6_with_engine_and_token_cache(self, capsys):
         assert (
             main(
                 [
@@ -208,8 +203,6 @@ class TestEvaluate:
                     "6",
                     "--ml-workers",
                     "2",
-                    "--token-cache",
-                    str(pkl_path),
                     "--stats",
                 ]
             )
@@ -219,8 +212,8 @@ class TestEvaluate:
         assert "Table VI" in captured.out
         assert "Random Forest" in captured.out
         assert "Table III" not in captured.out
-        assert pkl_path.exists()
-        assert "token sequences" in captured.err
+        assert "token_cache_misses" in captured.err
+        assert "token_cache_hits" in captured.err
         assert "phase timings:" in captured.err
 
     def test_unknown_table_rejected(self, capsys):
