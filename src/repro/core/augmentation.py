@@ -100,8 +100,6 @@ class DatasetAugmentation:
         ratio_threshold: stop early when a round's yield drops below this.
         incremental: maintain the per-set distance matrix with a
             :class:`DistanceEngine` instead of rebuilding it every round.
-        tolerance: the engine's relative drift tolerance before a full
-            refit; 0.0 keeps results exactly equivalent to full rebuilds.
         obs: observability registry; defaults to the cache's, so timings and
             counters from extraction and distance work land in one place.
     """
@@ -112,7 +110,6 @@ class DatasetAugmentation:
         oracle: VerificationOracle,
         ratio_threshold: float = 0.0,
         incremental: bool = True,
-        tolerance: float = 0.0,
         obs: ObsRegistry | None = None,
     ) -> None:
         if not 0.0 <= ratio_threshold <= 1.0:
@@ -121,7 +118,6 @@ class DatasetAugmentation:
         self._oracle = oracle
         self.ratio_threshold = ratio_threshold
         self.incremental = incremental
-        self.tolerance = tolerance
         self.obs = obs if obs is not None else cache.obs
 
     # ---- shared helpers ---------------------------------------------------
@@ -235,7 +231,7 @@ class DatasetAugmentation:
                     ) as round_span:
                         if self.incremental:
                             if engine is None:
-                                engine = DistanceEngine(tolerance=self.tolerance, obs=self.obs)
+                                engine = DistanceEngine(obs=self.obs)
                                 sec_matrix = self._cache.matrix(outcome.security_shas)
                                 pool_matrix = self._cache.matrix(pool)
                                 with self.obs.timer("distance"):

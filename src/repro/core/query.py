@@ -27,7 +27,7 @@ from ..errors import ReproError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .patchdb import PatchRecord
 
-__all__ = ["PatchQuery", "QueryError"]
+__all__ = ["PatchQuery", "QueryError", "parse_bool"]
 
 #: Query-string spellings accepted for boolean fields.
 _TRUE = frozenset({"1", "true", "yes", "on"})
@@ -36,6 +36,17 @@ _FALSE = frozenset({"0", "false", "no", "off"})
 
 class QueryError(ReproError):
     """A PatchQuery was constructed or parsed with invalid values."""
+
+
+def parse_bool(name: str, raw: str) -> bool:
+    """One boolean query-string value (``1/0/true/false/yes/no/on/off``,
+    case-insensitive); anything else raises :class:`QueryError`."""
+    lowered = raw.strip().lower()
+    if lowered in _TRUE:
+        return True
+    if lowered in _FALSE:
+        return False
+    raise QueryError(f"{name} must be a boolean, got {raw!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,13 +185,7 @@ class PatchQuery:
             if name in ("source", "repo", "sha", "cve_id"):
                 kwargs[name] = raw
             elif name == "is_security":
-                lowered = raw.lower()
-                if lowered in _TRUE:
-                    kwargs[name] = True
-                elif lowered in _FALSE:
-                    kwargs[name] = False
-                else:
-                    raise QueryError(f"is_security must be a boolean, got {raw!r}")
+                kwargs[name] = parse_bool(name, raw)
             else:  # pattern_type, limit, offset
                 try:
                     kwargs[name] = int(raw)

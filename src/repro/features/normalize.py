@@ -137,18 +137,13 @@ class DistanceEngine:
     :meth:`update` keeps the live-union maxima exact with per-side running
     maxima (``O((k + |dropped|)·d)`` per round, plus a partial column rescan
     only when a dropped candidate attained some column's maximum) and, when
-    any column's maximum moved by more than ``tolerance`` (relative), falls
-    back to a full refit + recompute over the live columns.  With the default
-    ``tolerance=0.0`` the live entries always match what a from-scratch
-    :func:`weighted_distance_matrix` over the live pool would produce (up to
-    float associativity, well below 1e-9); a positive tolerance trades that
-    exactness for fewer full recomputes.
+    any column's maximum moved at all, falls back to a full refit +
+    recompute over the live columns.  The live entries therefore always
+    match what a from-scratch :func:`weighted_distance_matrix` over the live
+    pool would produce (up to float associativity, well below 1e-9).
     """
 
-    def __init__(self, tolerance: float = 0.0, obs: "ObsRegistry | None" = None) -> None:
-        if tolerance < 0.0:
-            raise FeatureError("tolerance must be >= 0")
-        self.tolerance = tolerance
+    def __init__(self, obs: "ObsRegistry | None" = None) -> None:
         self._obs = obs
         self._weighter: MaxAbsWeighter | None = None
         self._maxima: np.ndarray | None = None
@@ -338,11 +333,7 @@ class DistanceEngine:
             new_rows = None
 
         maxima = np.maximum(self._sec_max, self._wild_max)
-        floor = np.finfo(np.float64).tiny
-        drifted = np.abs(maxima - self._maxima) > self.tolerance * np.maximum(
-            self._maxima, floor
-        )
-        if np.any(drifted):
+        if np.any(maxima != self._maxima):
             # A reviewed candidate held some column's max-abs: the fitted
             # weights are stale, and every cached cell would come out
             # different under a per-round refit — rebuild from scratch.

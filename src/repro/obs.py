@@ -97,6 +97,7 @@ __all__ = [
     "current_trace_site",
     "deactivate_trace",
     "histogram_stats",
+    "nearest_rank",
     "new_trace_id",
     "trace_span",
 ]
@@ -179,27 +180,30 @@ class ObsSnapshot:
         return t if t is not None else sum(self.histograms.get(name, ()))
 
 
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """The nearest-rank *q*-quantile of a sorted, non-empty list — always
+    an actually-observed value."""
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
 def histogram_stats(values: list[float]) -> dict[str, float]:
     """Summary stats of one latency histogram: count/total/mean/p50/p95/max.
 
-    Percentiles use the nearest-rank method on the sorted observations, so
-    every reported quantile is an actually-observed latency.
+    Percentiles use the nearest-rank method on the sorted observations
+    (:func:`nearest_rank`), so every reported quantile is an
+    actually-observed latency.
     """
     if not values:
         return {"count": 0, "total": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
     ordered = sorted(values)
     n = len(ordered)
-
-    def rank(q: float) -> float:
-        return ordered[max(0, math.ceil(q * n) - 1)]
-
     total = sum(ordered)
     return {
         "count": n,
         "total": total,
         "mean": total / n,
-        "p50": rank(0.50),
-        "p95": rank(0.95),
+        "p50": nearest_rank(ordered, 0.50),
+        "p95": nearest_rank(ordered, 0.95),
         "max": ordered[-1],
     }
 

@@ -13,7 +13,7 @@ Layering:
 
 * :mod:`repro.serve.service` — the framework-independent core
   (:class:`PatchDBService`) plus the group-commit classify batcher.
-* :mod:`repro.serve.telemetry` — per-thread shard registries, the bounded
+* :mod:`repro.serve.telemetry` — the one locked live registry, the bounded
   trace store, and the Prometheus exposition behind ``/metrics``.
 * :mod:`repro.serve.http` — route translation, per-request trace
   propagation (``X-Repro-Trace-Id``), and the server itself.
@@ -27,7 +27,6 @@ from .service import MODEL_CONFIG, ClassifyBatcher, PatchDBService
 from .telemetry import (
     LATENCY_BUCKETS,
     ServeTelemetry,
-    ShardedObs,
     TraceStore,
     parse_exposition,
     render_metrics,
@@ -40,7 +39,6 @@ __all__ = [
     "PatchDBServer",
     "PatchDBService",
     "ServeTelemetry",
-    "ShardedObs",
     "TRACE_HEADER",
     "TraceStore",
     "make_server",

@@ -39,7 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ReproError
-from ..core.query import PatchQuery, QueryError
+from ..core.query import PatchQuery, QueryError, parse_bool
 from ..obs import activate_trace, deactivate_trace, trace_span
 from .service import PatchDBService
 
@@ -112,10 +112,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _begin(self, endpoint: str, method: str) -> float:
+    def _begin(self, endpoint: str, method: str) -> None:
         """Open this request's trace (adopting the inbound header id if
-        well-formed) and activate it on the handler thread.  Returns the
-        perf-counter start time."""
+        well-formed), activate it on the handler thread, and start the
+        request's clock."""
         self._endpoint = endpoint
         self._recorded = False
         self._trace = None
@@ -130,7 +130,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._root_span = root
             self._trace_token = activate_trace(trace, root.span_id if root else None)
         self._started = time.perf_counter()
-        return self._started
 
     def _record_outcome(self, status: int) -> None:
         """Fold this request into telemetry exactly once.
@@ -138,9 +137,9 @@ class _Handler(BaseHTTPRequestHandler):
         Called just *before* the response bytes go out (from ``_send_json``
         / ``_send_text``), so a client that has received a response always
         finds it counted in a subsequent ``/statsz`` read — no racing the
-        handler thread.  The ``_finish`` call at the end of each ``do_*``
-        is the fallback for paths that never sent a body (broken pipes,
-        streams, send failures) and is a no-op when already recorded.
+        handler thread.  The call at the end of each ``do_*`` is the
+        fallback for paths that never sent a body (broken pipes, streams,
+        send failures) and is a no-op when already recorded.
         """
         if getattr(self, "_recorded", True):
             return
@@ -158,14 +157,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._endpoint, status, time.perf_counter() - self._started, trace=trace
         )
 
-    def _finish(self, endpoint: str, status: int, started: float) -> None:
-        self._record_outcome(status)
-
     def _query(self, raw_query: str) -> PatchQuery:
         params = dict(parse_qsl(raw_query, keep_blank_values=True))
-        include = params.pop("include_patch", "")
+        include = params.pop("include_patch", "").strip()
         query = PatchQuery.from_params(params)
-        self._include_patch = include.strip().lower() in ("1", "true", "yes", "on")
+        self._include_patch = bool(include) and parse_bool("include_patch", include)
         return query
 
     # ---- routes -----------------------------------------------------------
@@ -183,10 +179,9 @@ class _Handler(BaseHTTPRequestHandler):
             "/v1/patches.jsonl": "stream",
             "/v1/traces": "traces",
         }.get(route)
-        started = self._begin(endpoint or "unknown", "GET")
+        self._begin(endpoint or "unknown", "GET")
         if endpoint is None:
             self._send_json(404, {"error": f"no such endpoint: {url.path}"})
-            self._finish("unknown", 404, started)
             return
         status = 200
         try:
@@ -228,7 +223,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(status, {"error": f"{type(exc).__name__}: {exc}"})
             except Exception:
                 pass
-        self._finish(endpoint, status, started)
+        self._record_outcome(status)
 
     #: POST routes: endpoint name + the service method the body goes to.
     _POST_ROUTES = {
@@ -239,10 +234,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler protocol
         route = urlsplit(self.path).path.rstrip("/")
         entry = self._POST_ROUTES.get(route)
-        started = self._begin(entry[0] if entry else "unknown", "POST")
+        self._begin(entry[0] if entry else "unknown", "POST")
         if entry is None:
             self._send_json(404, {"error": f"no such endpoint: {self.path}"})
-            self._finish("unknown", 404, started)
             return
         endpoint, method = entry
         status = 200
@@ -271,7 +265,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(status, {"error": f"{type(exc).__name__}: {exc}"})
             except Exception:
                 pass
-        self._finish(endpoint, status, started)
+        self._record_outcome(status)
 
     # ---- streaming --------------------------------------------------------
 

@@ -24,11 +24,11 @@ Three design points:
   so a lone request predicts at once and requests that pile up behind a
   running call go together in the next one.  Per-row predictions are
   independent, so batched responses are bit-identical to serial ones.
-* **Lock-free live telemetry.**  Every per-request observation (HTTP
-  counters, latency histograms, dataset index/render-cache hits, lint and
-  batcher counters) routes through a :class:`~repro.serve.telemetry.ServeTelemetry`
-  shard router — one private registry per handler thread, merged on read —
-  so the hot path never takes a cross-thread lock and a week-long server
+* **One live registry.**  Every per-request observation (HTTP counters,
+  latency histograms, dataset index/render-cache hits, lint and batcher
+  counters) goes to the one bounded registry a
+  :class:`~repro.serve.telemetry.ServeTelemetry` guards with one lock, so
+  counts from concurrent handler threads are exact and a week-long server
   never grows its histograms.  Request traces (:class:`~repro.obs.TraceContext`)
   thread from the HTTP handler through query/classify/lint down into the
   index, render cache, model cache, and the batcher's group model call,
@@ -209,10 +209,10 @@ class PatchDBService:
         model_cache: persisted fitted-model cache; a fresh in-memory one
             is created if omitted.
         obs: base registry (build-time history); defaults to ``ew.obs``.
-            Per-request observations go to the telemetry shard router, not
+            Per-request observations go to the telemetry registry, not
             here — ``/statsz`` merges both.
         max_batch: largest classify batch per model call.
-        telemetry: live-telemetry bundle (shard router + trace store); a
+        telemetry: live-telemetry bundle (locked registry + trace store); a
             default-configured one is created if omitted.  Pass
             ``ServeTelemetry(enabled=False)`` for the zero-instrumentation
             baseline of the paired overhead test
@@ -232,16 +232,13 @@ class PatchDBService:
         self.db = db
         self.obs = obs if obs is not None else ew.obs
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
-        # Every per-request write goes to the calling thread's private
-        # shard — lock-free — and is folded back in on /statsz//metrics
-        # reads.  Dataset index/render-cache hits, lint counters, and the
-        # batcher's stats all route through the same shards.
-        self._router = self.telemetry.router
-        db.rebind_obs(self._router)
-        self.models = (
-            model_cache if model_cache is not None else FittedModelCache(obs=self.obs)
-        )
-        self.models.obs = self._router
+        # Every per-request write goes to the telemetry's locked registry,
+        # which /statsz and /metrics fold together with the base one.
+        # Dataset index/render-cache hits, model-cache and lint counters,
+        # and the batcher's stats all record there.
+        db.rebind_obs(self.telemetry)
+        self.models = model_cache if model_cache is not None else FittedModelCache()
+        self.models.obs = self.telemetry
         self._records: list[PatchRecord] = db.records()
         self._max_batch = max_batch
         self._model: RandomForestClassifier | None = None
@@ -296,7 +293,7 @@ class PatchDBService:
             self._batcher = ClassifyBatcher(
                 model.decision_scores,
                 max_batch=self._max_batch,
-                obs=self._router,
+                obs=self.telemetry,
             )
         return {
             "model_key": key,
@@ -326,7 +323,7 @@ class PatchDBService:
         posting-list index (O(smallest posting list), not O(N)); requested
         patch text is served from the render-once cache.
         """
-        with self._router.timer("serve.query"), trace_span(
+        with self.telemetry.timer("serve.query"), trace_span(
             "service.query", include_patch=include_patch
         ):
             with trace_span("query.count"):
@@ -378,7 +375,7 @@ class PatchDBService:
             model, batcher = self._model, self._batcher
         if model is None:
             raise ReproError("service is not warmed: no classify model loaded")
-        with self._router.timer("serve.classify"), trace_span("service.classify"):
+        with self.telemetry.timer("serve.classify"), trace_span("service.classify"):
             with trace_span("patch.parse"):
                 patch = parse_patch(patch_text)
             with trace_span("features.extract"):
@@ -394,7 +391,7 @@ class PatchDBService:
             with trace_span("categorize"):
                 pattern = categorize_patch(patch)
             with trace_span("lint.patch"):
-                lint = lint_patch(patch, obs=self._router)
+                lint = lint_patch(patch, obs=self.telemetry)
         findings = lint.findings()
         return {
             "sha": patch.sha,
@@ -430,14 +427,14 @@ class PatchDBService:
         Raises:
             ReproError: unparsable patch (HTTP 400).
         """
-        with self._router.timer("serve.lint"), trace_span("service.lint"):
-            self._router.add("lint.request")
+        with self.telemetry.timer("serve.lint"), trace_span("service.lint"):
+            self.telemetry.add("lint.request")
             with trace_span("patch.parse"):
                 patch = parse_patch(patch_text)
             with trace_span("lint.patch"):
-                report = lint_patch(patch, obs=self._router)
+                report = lint_patch(patch, obs=self.telemetry)
         findings = report.findings()
-        self._router.add("lint.findings", len(findings))
+        self.telemetry.add("lint.findings", len(findings))
         return {
             "sha": patch.sha,
             "subject": patch.subject,
@@ -452,9 +449,9 @@ class PatchDBService:
     def healthz(self) -> dict:
         """Liveness: records served, model state, uptime, rolling latency.
 
-        The per-endpoint block (p50/p95/p99 over the shard windows, exact
-        request counts and error rates) comes from the telemetry stats
-        cache, so polling ``/healthz`` at high rate pays the shard merge
+        The per-endpoint block (p50/p95/p99 over the histogram windows,
+        exact request counts and error rates) comes from the telemetry
+        stats cache, so polling ``/healthz`` at high rate pays the merge
         at most twice a second.
         """
         out = {
@@ -484,9 +481,8 @@ class PatchDBService:
         """Machine-readable telemetry: merged registry + service identity.
 
         The payload folds the base registry (build/warm history) together
-        with every live shard, so counters here are exactly what a single
-        globally-locked registry would have recorded, plus the rolling
-        per-endpoint latency table and trace-store occupancy.
+        with the live one, plus the rolling per-endpoint latency table and
+        trace-store occupancy.
         """
         if self.telemetry.enabled:
             merged = self.telemetry.merged(self.obs)
@@ -523,9 +519,9 @@ class PatchDBService:
         )
 
     def counter(self, name: str) -> int:
-        """One counter's merged value across the base registry and every
-        telemetry shard (what ``/statsz`` would report for it)."""
-        return self.obs.count(name) + self.telemetry.router.count(name)
+        """One counter's merged value across the base and live registries
+        (what ``/statsz`` would report for it)."""
+        return self.obs.count(name) + self.telemetry.count(name)
 
     def record_request(
         self,
@@ -534,7 +530,6 @@ class PatchDBService:
         elapsed_s: float,
         trace: TraceContext | None = None,
     ) -> None:
-        """Fold one HTTP request into the calling thread's telemetry shard
-        (no cross-thread locking; merged reads are bit-identical to the
-        old single-lock registry) and sample its trace into the store."""
+        """Fold one HTTP request into the live registry and sample its
+        trace into the store."""
         self.telemetry.record_request(endpoint, status, elapsed_s, trace=trace)

@@ -1,18 +1,16 @@
-"""Live telemetry for the serve layer: shards, traces, and /metrics.
+"""Live telemetry for the serve layer: one locked registry, traces, /metrics.
 
 Three pieces turn the batch-shaped :mod:`repro.obs` registry into a
-long-running server's instrumentation, all bounded in memory and all
-lock-free on the request hot path:
+long-running server's instrumentation, all bounded in memory:
 
-* :class:`ShardedObs` — a duck-typed :class:`~repro.obs.ObsRegistry`
-  facade that routes every write (``add``/``observe``/``timer``/``span``)
-  to a private per-thread shard, so concurrent handler threads never
-  contend on a lock and never lose counts to racy read-modify-write
-  increments.  Reads (:meth:`ShardedObs.merged`) fold the shards into one
-  registry through the existing snapshot/merge protocol; merged counters
-  are bit-identical to what a single globally-locked registry would have
-  recorded, and order-insensitive across shards (integer sums).  Shards
-  are created with a histogram window and span cap, so per-request
+* :class:`ServeTelemetry` owns one bounded :class:`~repro.obs.ObsRegistry`
+  behind one lock and implements the registry's write surface
+  (``add``/``observe``/``timer``) over it, so the dataset index, render
+  cache, model cache, linter and classify batcher record straight into
+  it.  A timer holds the lock only to book its elapsed time, and
+  :meth:`ServeTelemetry.record_request` takes it once for a request's whole
+  batch of writes; reads copy a snapshot taken under the lock.  The
+  registry keeps a histogram window and a span cap, so per-request
   observations can never grow a week-long server's memory.
 * :class:`TraceStore` — a bounded sample of finished request traces
   (:class:`~repro.obs.TraceContext` trees): the first *head* requests, a
@@ -31,11 +29,9 @@ lock-free on the request hot path:
   is the matching grammar checker — the HTTP tests and the hypothesis
   law tests both gate on it.
 
-:class:`ServeTelemetry` ties the three together for
-:class:`~repro.serve.service.PatchDBService`: it owns the shard set and
-trace store, records per-request accounting (counters, window histogram,
-latency bucket counters) without taking any cross-thread lock, and serves
-the merged views behind ``/statsz``, ``/healthz`` and ``/metrics``.
+:class:`~repro.serve.service.PatchDBService` serves the merged views
+(its base registry plus the live one) behind ``/statsz``, ``/healthz`` and
+``/metrics``.
 """
 
 from __future__ import annotations
@@ -51,12 +47,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from ..obs import ObsRegistry, TraceContext, histogram_stats
+from ..obs import ObsRegistry, TraceContext, histogram_stats, nearest_rank
 
 __all__ = [
     "LATENCY_BUCKETS",
     "ServeTelemetry",
-    "ShardedObs",
     "TraceEntry",
     "TraceStore",
     "parse_exposition",
@@ -65,8 +60,8 @@ __all__ = [
 ]
 
 #: Fixed latency histogram bucket upper bounds, in seconds (an +Inf bucket
-#: is implicit).  Fixed at import time so bucket counters merge across
-#: shards and scrapes by simple addition.
+#: is implicit).  Fixed at import time so bucket counters add up across
+#: scrapes.
 LATENCY_BUCKETS: tuple[float, ...] = (
     0.001,
     0.0025,
@@ -90,6 +85,16 @@ _BUCKET_PREFIX = "http_bucket."
 #: Histogram-name prefix of per-endpoint request latencies.
 _LATENCY_PREFIX = "serve.http."
 
+#: Span nodes a registry of the serve layer retains: merged views copy the
+#: base registry's build spans, so they are capped too.
+SPAN_CAP = 256
+#: Span budget of each request's trace.
+MAX_SPANS_PER_TRACE = 128
+#: :class:`TraceStore` sample sizes the CLI does not set: the first
+#: requests served, and the slowest ones over the threshold.
+TRACE_HEAD = 32
+TRACE_SLOW = 64
+
 
 def window_quantiles(values: list[float], qs: tuple[float, ...] = (0.5, 0.95, 0.99)) -> dict[str, float]:
     """Nearest-rank quantiles of a (windowed) observation list.
@@ -100,146 +105,7 @@ def window_quantiles(values: list[float], qs: tuple[float, ...] = (0.5, 0.95, 0.
     if not values:
         return {f"p{int(q * 100)}": 0.0 for q in qs}
     ordered = sorted(values)
-    n = len(ordered)
-    out = {}
-    for q in qs:
-        idx = max(0, -(-int(q * n * 1000000) // 1000000) - 1)  # ceil without float drift
-        idx = min(idx, n - 1)
-        out[f"p{int(q * 100)}"] = ordered[idx]
-    return out
-
-
-def _safe_snapshot(reg: ObsRegistry):
-    """Snapshot a registry that another thread may be writing.
-
-    Shard owners only ever append; CPython's GIL makes each individual
-    container operation atomic, but Python-level iteration inside
-    ``snapshot`` can still observe a dict resize mid-walk.  The collision
-    window is a few microseconds, so a short retry loop converges.
-    """
-    for _ in range(8):
-        try:
-            return reg.snapshot()
-        except RuntimeError:
-            continue
-    return reg.snapshot()
-
-
-class ShardedObs:
-    """Per-thread :class:`ObsRegistry` shards behind one write facade.
-
-    Implements the registry's write surface (``add``, ``observe``,
-    ``timer``, ``span``, ``merge``) by delegating to the calling thread's
-    private shard — no cross-thread locking on any write.  The only lock
-    in the class guards the shard list, taken once per *thread* (shard
-    creation) and on reads.
-
-    Args:
-        enabled: ``False`` turns every shard into a disabled registry —
-            the zero-cost baseline of the paired overhead test.
-        hist_window: per-shard histogram window (see
-            :class:`~repro.obs.ObsRegistry`).
-        span_cap: per-shard span cap.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = True,
-        hist_window: int | None = 1024,
-        span_cap: int | None = 256,
-    ) -> None:
-        self.enabled = enabled
-        self.hist_window = hist_window
-        self.span_cap = span_cap
-        self._local = threading.local()
-        self._shards: list[ObsRegistry] = []
-        #: Parallel to ``_shards``: the thread currently owning each shard.
-        self._owners: list[threading.Thread] = []
-        self._shards_lock = threading.Lock()
-
-    # ---- write surface (ObsRegistry duck type) ----------------------------
-
-    def shard(self) -> ObsRegistry:
-        """The calling thread's private shard.
-
-        A thread-per-connection server creates (and kills) one thread per
-        request, so shards are **reclaimed**: a new thread adopts the
-        shard of a dead one — its accumulated exact counts carry on —
-        and only allocates a fresh registry when every shard's owner is
-        still alive.  The shard count is therefore bounded by the peak
-        number of concurrent threads, not by total requests served, and
-        each shard still has exactly one writer at a time (a dead owner
-        has finished every write before ``is_alive`` goes false).
-        """
-        reg = getattr(self._local, "shard", None)
-        if reg is None:
-            me = threading.current_thread()
-            with self._shards_lock:
-                for i, owner in enumerate(self._owners):
-                    if not owner.is_alive():
-                        self._owners[i] = me
-                        reg = self._shards[i]
-                        break
-                else:
-                    reg = ObsRegistry(
-                        enabled=self.enabled,
-                        hist_window=self.hist_window,
-                        span_cap=self.span_cap,
-                    )
-                    self._shards.append(reg)
-                    self._owners.append(me)
-            self._local.shard = reg
-        return reg
-
-    def add(self, name: str, amount: int = 1) -> None:
-        self.shard().add(name, amount)
-
-    def observe(self, name: str, value: float) -> None:
-        self.shard().observe(name, value)
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        with self.shard().timer(name):
-            yield
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Any]:
-        with self.shard().span(name, **attributes) as record:
-            yield record
-
-    def merge(self, other) -> None:
-        """Fold a snapshot/registry into the calling thread's shard."""
-        self.shard().merge(other)
-
-    # ---- read surface -----------------------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        with self._shards_lock:
-            return len(self._shards)
-
-    def merged(self, base: ObsRegistry | None = None) -> ObsRegistry:
-        """One registry folding *base* (optional) plus every shard.
-
-        The result is a fresh bounded registry; counters are exact integer
-        sums (order-insensitive, bit-identical to a single-lock registry),
-        histogram ``count``/``total`` are exact, and histogram quantiles
-        describe the union of the shards' retained windows.
-        """
-        out = ObsRegistry(hist_window=self.hist_window, span_cap=self.span_cap)
-        if base is not None:
-            out.merge(_safe_snapshot(base))
-        with self._shards_lock:
-            shards = list(self._shards)
-        for reg in shards:
-            out.merge(_safe_snapshot(reg))
-        return out
-
-    def count(self, name: str) -> int:
-        """Merged value of one counter across every shard."""
-        with self._shards_lock:
-            shards = list(self._shards)
-        return sum(reg.count(name) for reg in shards)
+    return {f"p{int(q * 100)}": nearest_rank(ordered, q) for q in qs}
 
 
 @dataclass(slots=True)
@@ -620,18 +486,20 @@ _TRACE_ID_RE = re.compile(r"^[0-9a-fA-F-]{8,64}$")
 
 
 class ServeTelemetry:
-    """Request-scoped tracing + sharded live metrics for one service.
+    """Request-scoped tracing + one locked live registry for one service.
+
+    Implements the :class:`~repro.obs.ObsRegistry` write surface (``add``,
+    ``observe``, ``timer``) over its registry, so the service hands it
+    down as the ``obs`` of everything it serves through.
 
     Args:
-        enabled: ``False`` disables everything — no traces, no shard
-            writes — the baseline of the paired telemetry on/off test in
-            ``benchmarks/test_obs_overhead.py``.
-        hist_window: per-shard histogram window (raw latency samples kept
-            per phase; exact count/total always preserved).
-        span_cap: per-shard registry span cap.
-        max_spans_per_trace: span budget of each request's trace.
-        trace_head / trace_tail / trace_slow / slow_threshold_s: the
-            :class:`TraceStore` sampling policy.
+        enabled: ``False`` disables everything — no traces, no registry
+            writes, no lock taken — the baseline of the paired telemetry
+            on/off test in ``benchmarks/test_obs_overhead.py``.
+        hist_window: histogram window (raw latency samples kept per
+            histogram; exact count/total always preserved).
+        trace_tail / slow_threshold_s: the :class:`TraceStore` ring size
+            and slow-request threshold.
     """
 
     TRACE_HEADER = "X-Repro-Trace-Id"
@@ -640,18 +508,15 @@ class ServeTelemetry:
         self,
         enabled: bool = True,
         hist_window: int = 1024,
-        span_cap: int = 256,
-        max_spans_per_trace: int = 128,
-        trace_head: int = 32,
         trace_tail: int = 256,
-        trace_slow: int = 64,
         slow_threshold_s: float = 0.25,
     ) -> None:
         self.enabled = enabled
-        self.max_spans_per_trace = max_spans_per_trace
-        self.router = ShardedObs(enabled=enabled, hist_window=hist_window, span_cap=span_cap)
+        self.hist_window = hist_window
+        self._obs = ObsRegistry(enabled=enabled, hist_window=hist_window, span_cap=SPAN_CAP)
+        self._lock = threading.Lock()
         self.traces = TraceStore(
-            head=trace_head, tail=trace_tail, slow=trace_slow, slow_threshold_s=slow_threshold_s
+            head=TRACE_HEAD, tail=trace_tail, slow=TRACE_SLOW, slow_threshold_s=slow_threshold_s
         )
         self.started_unix = time.time()
         self._stats_cache: tuple[float, dict] | None = None
@@ -660,6 +525,37 @@ class ServeTelemetry:
         #: key space is tiny (endpoints x 5 families x 14 buckets) and the
         #: cache saves four string formats per request on the hot path.
         self._names: dict[tuple[str, str, int], tuple[str, str, str, str]] = {}
+
+    # ---- write surface (ObsRegistry duck type) ----------------------------
+
+    def add(self, name: str, amount: int = 1) -> None:
+        if self.enabled:
+            with self._lock:
+                self._obs.add(name, amount)
+
+    def observe(self, name: str, value: float) -> None:
+        if self.enabled:
+            with self._lock:
+                self._obs.observe(name, value)
+
+    @contextmanager
+    def timer(self, name: str) -> Iterator[None]:
+        """Time the ``with`` body outside the lock; book it under the lock."""
+        if not self.enabled:
+            yield
+            return
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self._obs._record(name, elapsed)
+
+    def count(self, name: str) -> int:
+        """Live value of one counter."""
+        with self._lock:
+            return self._obs.count(name)
 
     # ---- request lifecycle -------------------------------------------------
 
@@ -671,7 +567,7 @@ class ServeTelemetry:
         trace_id = None
         if header_value and _TRACE_ID_RE.match(header_value.strip()):
             trace_id = header_value.strip().lower()
-        return TraceContext(trace_id=trace_id, max_spans=self.max_spans_per_trace)
+        return TraceContext(trace_id=trace_id, max_spans=MAX_SPANS_PER_TRACE)
 
     def record_request(
         self,
@@ -680,11 +576,10 @@ class ServeTelemetry:
         elapsed_s: float,
         trace: TraceContext | None = None,
     ) -> None:
-        """Fold one finished request into this thread's shard (lock-free)
-        and offer its trace to the bounded store."""
+        """Fold one finished request into the registry (one lock hold for
+        all of its writes) and offer its trace to the bounded store."""
         if not self.enabled:
             return
-        obs = self.router.shard()
         family = f"{min(max(status // 100, 1), 5)}xx"
         bucket = bucket_index(elapsed_s)
         names = self._names.get((endpoint, family, bucket))
@@ -696,15 +591,17 @@ class ServeTelemetry:
                 f"{_LATENCY_PREFIX}{endpoint}",
             )
             self._names[(endpoint, family, bucket)] = names
-        obs.add("http_requests")
-        obs.add(names[0])
-        if status >= 500:
-            obs.add("http_5xx")
-        elif status >= 400:
-            obs.add("http_4xx")
-        obs.add(names[1])
-        obs.add(names[2])
-        obs.observe(names[3], elapsed_s)
+        obs = self._obs
+        with self._lock:
+            obs.add("http_requests")
+            obs.add(names[0])
+            if status >= 500:
+                obs.add("http_5xx")
+            elif status >= 400:
+                obs.add("http_4xx")
+            obs.add(names[1])
+            obs.add(names[2])
+            obs.observe(names[3], elapsed_s)
         if trace is not None:
             self.traces.offer(
                 TraceEntry(trace=trace, endpoint=endpoint, status=status, duration_s=elapsed_s)
@@ -713,17 +610,28 @@ class ServeTelemetry:
     # ---- merged views ------------------------------------------------------
 
     def merged(self, base: ObsRegistry | None = None) -> ObsRegistry:
-        """Shards (plus *base*) folded into one readable registry."""
-        return self.router.merged(base)
+        """*base* (optional) plus the live registry, folded into one fresh
+        bounded registry.
+
+        Counters and histogram ``count``/``total`` are exact; histogram
+        quantiles describe the last ``hist_window`` observations.  *base*
+        is written only before serving, so it is read without the lock.
+        """
+        out = ObsRegistry(hist_window=self.hist_window, span_cap=SPAN_CAP)
+        if base is not None:
+            out.merge(base)
+        with self._lock:
+            live = self._obs.snapshot()
+        out.merge(live)
+        return out
 
     def endpoint_stats(
         self, merged: ObsRegistry | None = None, max_age_s: float = 0.5
     ) -> dict[str, dict[str, Any]]:
         """Rolling per-endpoint latency quantiles and error rates.
 
-        Quantiles (p50/p95/p99) are nearest-rank over the merged shard
-        windows — i.e. the most recent ~``hist_window`` samples per shard —
-        while ``requests`` and ``error_rate`` are exact.  Results are
+        Quantiles (p50/p95/p99) are nearest-rank over the histogram
+        window — the most recent ``hist_window`` samples — while ``requests`` and ``error_rate`` are exact.  Results are
         cached for *max_age_s* so hot callers (``/healthz``) pay the merge
         at most twice a second; pass a pre-merged registry to bypass the
         cache (``/statsz`` does, keeping its sections consistent).

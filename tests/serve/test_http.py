@@ -67,6 +67,18 @@ class TestGetEndpoints:
         _, payload = _get(base_url, "/v1/patches?limit=1&include_patch=1")
         assert "diff --git" in payload["records"][0]["patch_text"]
 
+    def test_include_patch_false_omits_text(self, base_url):
+        for value in ("0", "off", ""):
+            _, payload = _get(base_url, f"/v1/patches?limit=1&include_patch={value}")
+            assert "patch_text" not in payload["records"][0], value
+
+    def test_bad_include_patch_400(self, base_url):
+        for path in ("/v1/patches", "/v1/patches.jsonl"):
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                _get(base_url, f"{path}?limit=1&include_patch=maybe")
+            assert exc.value.code == 400
+            assert "include_patch must be a boolean" in json.loads(exc.value.read())["error"]
+
     def test_stream_jsonl_parses_and_respects_limit(self, base_url):
         url = f"{base_url}/v1/patches.jsonl?source=wild&limit=4"
         with urllib.request.urlopen(url, timeout=10) as resp:
@@ -381,7 +393,7 @@ class TestMetricsEndpoint:
         samples = parse_exposition(text)
         _, stats = _get(base_url, "/statsz")
         by_name = {l["name"]: v for l, v in samples["repro_counter_total"]}
-        # The scrape and /statsz read racing shards at different instants;
+        # The scrape and /statsz read the live registry at different instants;
         # counters only grow, and the later /statsz read must be >= the
         # scrape for every http_* counter the scrape saw.
         http_counters = {n: v for n, v in by_name.items() if n.startswith("http_")}

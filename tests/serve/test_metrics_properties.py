@@ -1,12 +1,12 @@
-"""Property-based laws of the /metrics exposition and shard merging.
+"""Property-based laws of the /metrics exposition and registry merging.
 
 Whatever traffic the server sees, three things must hold: the rendered
 exposition always parses under the Prometheus text grammar, cumulative
-bucket counts are monotone and agree with ``_count``, and the shard-merge
-fold is order-insensitive — the merged counters a scrape reports cannot
-depend on which handler thread's shard happened to merge first.  All
-three are derived here from *generated* request streams rather than the
-handful of shapes the unit tests pin.
+bucket counts are monotone and agree with ``_count``, and the registry
+merge fold is order-insensitive — the merged counters a read reports
+cannot depend on the order registries are folded in.  All three are
+derived here from *generated* request streams rather than the handful of
+shapes the unit tests pin.
 """
 
 from hypothesis import given, settings
@@ -109,9 +109,8 @@ def test_count_sum_consistent_with_statsz_histograms(reqs):
     st.randoms(use_true_random=False),
 )
 def test_shard_merge_order_insensitive(shard_specs, rng):
-    """Folding the same shard snapshots in any permutation yields identical
-    counters and histogram count/total — merged reads cannot depend on
-    thread scheduling."""
+    """Folding the same registry snapshots in any permutation yields
+    identical counters and histogram count/total."""
     shards = []
     for spec in shard_specs:
         reg = ObsRegistry(hist_window=8)

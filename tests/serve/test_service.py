@@ -132,8 +132,8 @@ class TestLint:
             service.lint("this is not a patch")
 
     def test_counters(self, service, patch_text):
-        # Per-request counters land in the caller's telemetry shard; the
-        # merged view (what /statsz serves) is the consistent read.
+        # Per-request counters land in the live telemetry registry; the
+        # merged view (what /statsz serves) adds the base registry.
         before = service.counter("lint.request")
         service.lint(patch_text)
         assert service.counter("lint.request") == before + 1

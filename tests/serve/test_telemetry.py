@@ -1,14 +1,16 @@
-"""Tests for the live-telemetry layer: shards, traces, and exposition.
+"""Tests for the live-telemetry layer: the locked registry, traces, and
+exposition.
 
-Covers the PR-9 acceptance criteria at the unit level: sharded per-thread
-registries lose no counts and match a globally-locked reference
-bit-for-bit; the trace store honors its head/tail/slow bounds; request
-traces nest across the batcher thread handoff; the trace export round-
-trips through :mod:`repro.trace`; and ``/metrics`` output is grammatical
-and consistent with ``/statsz``.
+Covers, at the unit level: the one locked live registry loses no counts
+under concurrent writers and readers and matches a single-threaded
+reference exactly; the trace store honors its head/tail/slow bounds;
+request traces nest across the batcher thread handoff; the trace export
+round-trips through :mod:`repro.trace`; and ``/metrics`` output is
+grammatical and consistent with ``/statsz``.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -24,7 +26,6 @@ from repro.obs import (
 from repro.serve.telemetry import (
     LATENCY_BUCKETS,
     ServeTelemetry,
-    ShardedObs,
     TraceEntry,
     TraceStore,
     bucket_index,
@@ -34,17 +35,28 @@ from repro.serve.telemetry import (
 from repro.trace import parse_trace
 
 
+class _RaisingLock:
+    def __enter__(self):
+        raise AssertionError("disabled telemetry took the registry lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
 class TestShardedObs:
+    """The live registry's write surface and merged reads (kept under the
+    name of the per-thread shard router it replaced)."""
+
     def test_counts_survive_many_threads_no_losses(self):
-        sharded = ShardedObs()
+        tel = ServeTelemetry()
         reference = ObsRegistry()
         ref_lock = threading.Lock()
         per_thread, n_threads = 500, 8
 
         def work():
             for _ in range(per_thread):
-                sharded.add("hits")
-                sharded.observe("lat", 0.001)
+                tel.add("hits")
+                tel.observe("lat", 0.001)
                 with ref_lock:
                     reference.add("hits")
                     reference.observe("lat", 0.001)
@@ -54,39 +66,100 @@ class TestShardedObs:
             t.start()
         for t in threads:
             t.join()
-        merged = sharded.merged()
-        # Bit-identical counter parity with the locked implementation.
+        merged = tel.merged()
         assert merged.count("hits") == reference.count("hits") == per_thread * n_threads
         assert merged.hist_count("lat") == reference.hist_count("lat")
-        assert sharded.count("hits") == per_thread * n_threads
+        assert tel.count("hits") == per_thread * n_threads
 
-    def test_shards_reclaimed_from_dead_threads(self):
-        sharded = ShardedObs()
-        for _ in range(50):
-            t = threading.Thread(target=lambda: sharded.add("hits"))
-            t.start()
-            t.join()
-        # 50 sequential short-lived threads reuse a bounded shard set.
-        assert sharded.n_shards <= 3
-        assert sharded.merged().count("hits") == 50
+    def test_record_request_exact_under_concurrent_reads(self):
+        """Long-lived and short-lived writer threads plus a reader looping
+        on the merged views: every count is exact, equal to a serial replay
+        into one registry, and no read raises."""
+        tel = ServeTelemetry()
+        per_thread, n_long, n_short = 500, 8, 50
+        stop = threading.Event()
+        errors: list[BaseException] = []
+        reads = 0
+
+        def reader():
+            nonlocal reads
+            while True:
+                try:
+                    tel.merged()
+                    parse_exposition(tel.metrics_text())
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+                    return
+                reads += 1
+                if stop.is_set():
+                    return
+
+        query_stream = [(500 if i % 10 == 0 else 200, 0.001 * (i % 7)) for i in range(per_thread)]
+
+        def long_lived(target=tel):
+            for status, elapsed in query_stream:
+                target.record_request("query", status, elapsed)
+
+        def short_lived(target=tel):
+            target.record_request("classify", 200, 0.002)
+
+        # A tiny GIL switch interval makes an unlocked read-modify-write
+        # lose counts, so this test fails if a write path drops the lock.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            read_thread = threading.Thread(target=reader)
+            read_thread.start()
+            writers = [threading.Thread(target=long_lived) for _ in range(n_long)]
+            writers += [threading.Thread(target=short_lived) for _ in range(n_short)]
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join()
+            stop.set()
+            read_thread.join()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not errors, errors
+        assert reads >= 1
+
+        reference = ServeTelemetry()
+        for _ in range(n_long):
+            long_lived(reference)
+        for _ in range(n_short):
+            short_lived(reference)
+        merged = tel.merged()
+        assert merged.counters == reference.merged().counters
+        assert tel.count("http_requests") == n_long * per_thread + n_short
+        assert merged.count("http_5xx") == n_long * per_thread // 10
+        assert merged.hist_count("serve.http.query") == n_long * per_thread
+        assert merged.hist_count("serve.http.classify") == n_short
 
     def test_merged_includes_base_registry(self):
         base = ObsRegistry()
         base.add("built", 7)
-        sharded = ShardedObs()
-        sharded.add("live", 2)
-        merged = sharded.merged(base)
+        tel = ServeTelemetry()
+        tel.add("live", 2)
+        merged = tel.merged(base)
         assert merged.count("built") == 7
         assert merged.count("live") == 2
 
     def test_disabled_router_is_inert(self):
-        sharded = ShardedObs(enabled=False)
-        sharded.add("hits")
-        sharded.observe("lat", 1.0)
-        assert sharded.merged().count("hits") == 0
+        tel = ServeTelemetry(enabled=False)
+        tel._lock = _RaisingLock()  # the disabled path must never lock
+        tel.add("hits")
+        tel.observe("lat", 1.0)
+        with tel.timer("phase"):
+            pass
+        tel.record_request("query", 200, 0.01)
+        tel._lock = threading.Lock()
+        merged = tel.merged()
+        assert merged.count("hits") == 0
+        assert merged.calls("phase") == 0
+        assert merged.counters == {}
 
     def test_merge_order_insensitive(self):
-        """Folding the same shard snapshots in any order yields the same
+        """Folding the same registry snapshots in any order yields the same
         counters (integer sums commute)."""
         shards = []
         for k in range(4):
