@@ -41,9 +41,11 @@ from ..ml import (
     RNNClassifier,
     classification_report,
     fit_many,
-    patch_token_sequence,
     train_test_split,
 )
+# Not called here: benchmark tracing wraps this module global by name
+# (``bench/layers.py``), and its ``install`` fails on a missing one.
+from ..ml import patch_token_sequence  # noqa: F401
 from ..ml.model_cache import FittedModelCache, training_key
 from ..nvd.crawler import CrawlResult, NvdCrawler
 from ..nvd.database import NvdConfig, NvdDatabase, build_nvd
@@ -134,9 +136,10 @@ class ExperimentWorld:
         workers: process count for the sharded world build and the default
             for parallel feature extraction and token-cache warm-up; the
             built world is bit-identical at every worker count.
-        ml_workers: default for the ``ml_workers`` argument of
-            :func:`run_table3`/:func:`run_table4`/:func:`run_table6` —
-            enables the cached, parallel evaluation engine.
+        ml_workers: process count for the classifier fits of
+            :func:`run_table3`/:func:`run_table4`/:func:`run_table6`
+            (:func:`repro.ml.fit_many`); ``None`` or ``1`` fits serially.
+            Rows are bit-identical at every count.
         obs: observability registry shared by the world build, both caches,
             and every runner; a private one is created if omitted.  World
             construction, NVD synthesis, and the crawl are recorded as
@@ -168,7 +171,6 @@ class ExperimentWorld:
             self.crawl: CrawlResult = NvdCrawler(self.world).crawl(self.nvd)
         self.cache = PatchFeatureCache(self.world, obs=self.obs, default_workers=workers)
         self.tokens = TokenSequenceCache(self.world, obs=self.obs, default_workers=workers)
-        self._rng = np.random.default_rng(seed + 2)
         self._deltas = None
 
     @property
@@ -211,7 +213,7 @@ class ExperimentWorld:
         """A fresh expert panel (stats start at zero)."""
         return VerificationOracle(self.world, seed=self.seed + 300 + seed)
 
-    # ---- run manifests and traces -----------------------------------------
+    # ---- run manifest -------------------------------------------------------
 
     def manifest(self, **extra: object) -> dict:
         """The run manifest: everything needed to identify or replay a run.
@@ -244,14 +246,6 @@ class ExperimentWorld:
         }
         base.update(extra)
         return base
-
-    def write_trace(self, path: str | Path, **extra: object) -> Path:
-        """Export this world's obs registry as a JSONL trace file.
-
-        The manifest record carries the world identity plus *extra*;
-        ``python -m repro trace <path>`` renders the result.
-        """
-        return self.obs.export_trace(path, manifest=self.manifest(**extra))
 
     # ---- disk caching -----------------------------------------------------
 
@@ -329,26 +323,17 @@ def run_table2(ew: ExperimentWorld, seed: int = 0) -> AugmentationOutcome:
 # ---------------------------------------------------------------------------
 
 
-def run_table3(
-    ew: ExperimentWorld, seed: int = 0, ml_workers: int | None = None
-) -> list[BaselineResult]:
+def run_table3(ew: ExperimentWorld, seed: int = 0) -> list[BaselineResult]:
     """Compare brute force / pseudo / uncertainty / nearest link (Table III).
 
-    Args:
-        ew: the experiment world.
-        seed: protocol RNG seed.
-        ml_workers: fit the baselines' classifiers in a process pool of
-            this size (``None`` inherits ``ew.ml_workers``); candidate
-            sets are identical either way.
+    The baselines' classifiers fit in a pool of ``ew.ml_workers``
+    processes; candidate sets are identical at every count.
     """
-    ml_workers = ml_workers if ml_workers is not None else ew.ml_workers
-    with ew.obs.span("experiment.table3", seed=seed, ml_workers=ml_workers):
-        return _run_table3(ew, seed, ml_workers)
+    with ew.obs.span("experiment.table3", seed=seed, ml_workers=ew.ml_workers):
+        return _run_table3(ew, seed)
 
 
-def _run_table3(
-    ew: ExperimentWorld, seed: int, ml_workers: int | None
-) -> list[BaselineResult]:
+def _run_table3(ew: ExperimentWorld, seed: int) -> list[BaselineResult]:
     pool = ew.wild_pool(ew.scale.set23_size, seed=seed + 10)
     seed_sec = ew.nvd_seed_shas
     seed_non = ew.ground_truth_nonsec(2 * len(seed_sec), seed=seed)
@@ -359,13 +344,13 @@ def _run_table3(
         (
             "Pseudo Labeling",
             pseudo_label_candidates(
-                ew.cache, seed_sec, seed_non, pool, seed=seed, workers=ml_workers
+                ew.cache, seed_sec, seed_non, pool, seed=seed, workers=ew.ml_workers
             ),
         ),
         (
             "Uncertainty-based Labeling",
             uncertainty_candidates(
-                ew.cache, seed_sec, seed_non, pool, seed=seed, workers=ml_workers
+                ew.cache, seed_sec, seed_non, pool, seed=seed, workers=ew.ml_workers
             ),
         ),
         (
@@ -408,12 +393,6 @@ def _effective_epochs(base: int, n_train: int) -> int:
     budget of at least ~4000 sequence presentations, capped at 40 epochs.
     """
     return max(base, min(40, (4000 + n_train - 1) // max(n_train, 1)))
-
-
-def _sequences(ew: ExperimentWorld, shas: list[str], engine: bool = False) -> list[list[str]]:
-    if engine:
-        return ew.tokens.sequences(shas)
-    return [patch_token_sequence(ew.world.patch_for(s)) for s in shas]
 
 
 def _fit_through_cache(
@@ -478,7 +457,6 @@ def run_table4(
     seed: int = 0,
     max_per_patch: int = 3,
     n_seeds: int = 4,
-    ml_workers: int | None = None,
     model_cache: FittedModelCache | None = None,
 ) -> Table4Result:
     """Security patch identification with and without synthetic data (Table IV).
@@ -489,21 +467,20 @@ def run_table4(
     counts are likewise the per-seed mean.
 
     The ``2 datasets x n_seeds x {natural, synthetic}`` RNN fits are
-    mutually independent, so with *ml_workers* set (or inherited from
-    ``ew.ml_workers``) they run through :func:`repro.ml.fit_many` with
-    token sequences served from ``ew.tokens`` and per-origin synthesis
-    memoized — same rows as the serial path, bit for bit.
+    mutually independent, so they run through :func:`repro.ml.fit_many`
+    in a pool of ``ew.ml_workers`` processes, on token sequences served
+    from ``ew.tokens`` and per-origin synthesis memoized by the
+    synthesizer — the same rows at every worker count, bit for bit.
 
     With *model_cache* set, each fit is first looked up by its
     training-set sha key (:func:`training_key` over the labeled training
     shas + estimator config); re-running with an unchanged training set
     re-fits nothing.
     """
-    ml_workers = ml_workers if ml_workers is not None else ew.ml_workers
     with ew.obs.span(
-        "experiment.table4", seed=seed, n_seeds=n_seeds, ml_workers=ml_workers
+        "experiment.table4", seed=seed, n_seeds=n_seeds, ml_workers=ew.ml_workers
     ):
-        return _run_table4(ew, seed, max_per_patch, n_seeds, ml_workers, model_cache)
+        return _run_table4(ew, seed, max_per_patch, n_seeds, model_cache)
 
 
 def _run_table4(
@@ -511,22 +488,15 @@ def _run_table4(
     seed: int,
     max_per_patch: int,
     n_seeds: int,
-    ml_workers: int | None,
-    model_cache: FittedModelCache | None = None,
+    model_cache: FittedModelCache | None,
 ) -> Table4Result:
-    engine = ml_workers is not None
     epochs = ew.scale.rnn_epochs
-    synth = PatchSynthesizer(ew.world, max_per_patch=max_per_patch, seed=seed, memoize=engine)
+    synth = PatchSynthesizer(ew.world, max_per_patch=max_per_patch, seed=seed)
     result = Table4Result()
 
     nvd_sec = ew.nvd_seed_shas
     wild_sec = [s for s in ew.world.security_shas() if s not in set(nvd_sec)]
     nonsec = ew.ground_truth_nonsec(2 * (len(nvd_sec) + len(wild_sec)), seed=seed)
-
-    def syn_sequence(patch) -> list[str]:
-        if engine:
-            return ew.tokens.sequence_of(patch)
-        return patch_token_sequence(patch)
 
     # ---- stage every independent fit --------------------------------------
     datasets = [("NVD", nvd_sec), ("NVD+Wild", nvd_sec + wild_sec)]
@@ -544,8 +514,8 @@ def _run_table4(
             train_shas = [labeled[i] for i in train_idx]
             test_shas = [labeled[i] for i in test_idx]
 
-            train_seqs = _sequences(ew, [s for s, _ in train_shas], engine)
-            test_seqs = _sequences(ew, [s for s, _ in test_shas], engine)
+            train_seqs = ew.tokens.sequences([s for s, _ in train_shas])
+            test_seqs = ew.tokens.sequences([s for s, _ in test_shas])
             y_train = np.array([lab for _, lab in train_shas])
             y_test = np.array([lab for _, lab in test_shas])
             # Fix the epoch budget from the *natural* train size so the with-
@@ -571,7 +541,7 @@ def _run_table4(
             for s, lab in train_shas:
                 for sp in synth.synthesize(s):
                     syn_shas.append(sp.patch.sha)
-                    syn_seqs.append(syn_sequence(sp.patch))
+                    syn_seqs.append(ew.tokens.sequence_of(sp.patch))
                     syn_labels.append(lab)
             synth_totals[d_idx][0] += sum(1 for lab in syn_labels if lab == 1)
             synth_totals[d_idx][1] += sum(1 for lab in syn_labels if lab == 0)
@@ -596,7 +566,7 @@ def _run_table4(
         [(f.rnn, f.train_seqs, f.y_train) for f in fits],
         [f.key for f in fits],
         model_cache,
-        ml_workers,
+        ew.ml_workers,
         ew.obs,
     )
     metrics = [{"nat": np.zeros(2), "syn": np.zeros(2)} for _ in datasets]
@@ -713,49 +683,59 @@ class Table6Result:
         return "\n".join(out)
 
 
-def run_table6(
-    ew: ExperimentWorld,
-    seed: int = 0,
-    ml_workers: int | None = None,
-    model_cache: FittedModelCache | None = None,
-) -> Table6Result:
-    """Train RF/RNN on NVD vs NVD+wild; test on NVD and wild (Table VI).
+_Labeled = list[tuple[str, int]]
 
-    The four fits (RF and RNN per train set) are independent; with
-    *ml_workers* set (or inherited from ``ew.ml_workers``) they run
-    concurrently through :func:`repro.ml.fit_many` with token sequences
-    served from ``ew.tokens`` — rows are bit-identical to the serial path.
-    With *model_cache* set, fits whose training-set sha key is already
-    cached are served from the cache (re-evaluation with an unchanged
-    training set never re-fits).
+
+def _source_splits(ew: ExperimentWorld, seed: int) -> tuple[_Labeled, ...]:
+    """The labeled train/test splits of the Table VI protocol.
+
+    The crawled NVD security patches and the wild ones (every other
+    security commit) are each paired with twice as many clean non-security
+    commits, then split 80/20 with stratification: NVD with *seed*, wild
+    with ``seed + 1``.
+
+    Returns:
+        ``(nvd_train, nvd_test, wild_train, wild_test)`` as ``(sha, label)``
+        lists.
     """
-    ml_workers = ml_workers if ml_workers is not None else ew.ml_workers
-    with ew.obs.span("experiment.table6", seed=seed, ml_workers=ml_workers):
-        return _run_table6(ew, seed, ml_workers, model_cache)
-
-
-def _run_table6(
-    ew: ExperimentWorld,
-    seed: int,
-    ml_workers: int | None,
-    model_cache: FittedModelCache | None = None,
-) -> Table6Result:
-    engine = ml_workers is not None
-    epochs = ew.scale.rnn_epochs
     nvd_sec = ew.nvd_seed_shas
     wild_sec = [s for s in ew.world.security_shas() if s not in set(nvd_sec)]
     nonsec = ew.ground_truth_nonsec(2 * (len(nvd_sec) + len(wild_sec)), seed=seed)
     non_nvd = nonsec[: 2 * len(nvd_sec)]
     non_wild = nonsec[2 * len(nvd_sec) : 2 * len(nvd_sec) + 2 * len(wild_sec)]
 
-    def split(sec: list[str], non: list[str], split_seed: int):
+    def split(sec: list[str], non: list[str], split_seed: int) -> tuple[_Labeled, _Labeled]:
         labeled = [(s, 1) for s in sec] + [(s, 0) for s in non]
         y = np.array([lab for _, lab in labeled])
         tr, te = train_test_split(len(labeled), 0.2, y=y, stratify=True, seed=split_seed)
         return [labeled[i] for i in tr], [labeled[i] for i in te]
 
-    nvd_train, nvd_test = split(nvd_sec, non_nvd, seed)
-    wild_train, wild_test = split(wild_sec, non_wild, seed + 1)
+    return (*split(nvd_sec, non_nvd, seed), *split(wild_sec, non_wild, seed + 1))
+
+
+def run_table6(
+    ew: ExperimentWorld,
+    seed: int = 0,
+    model_cache: FittedModelCache | None = None,
+) -> Table6Result:
+    """Train RF/RNN on NVD vs NVD+wild; test on NVD and wild (Table VI).
+
+    The four fits (RF and RNN per train set) are independent; they run
+    through :func:`repro.ml.fit_many` in a pool of ``ew.ml_workers``
+    processes, with token sequences served from ``ew.tokens`` — the same
+    rows at every worker count, bit for bit.  With *model_cache* set, fits
+    whose training-set sha key is already cached are served from the cache
+    (re-evaluation with an unchanged training set never re-fits).
+    """
+    with ew.obs.span("experiment.table6", seed=seed, ml_workers=ew.ml_workers):
+        return _run_table6(ew, seed, model_cache)
+
+
+def _run_table6(
+    ew: ExperimentWorld, seed: int, model_cache: FittedModelCache | None
+) -> Table6Result:
+    epochs = ew.scale.rnn_epochs
+    nvd_train, nvd_test, wild_train, wild_test = _source_splits(ew, seed)
 
     train_sets = {"NVD": nvd_train, "NVD+Wild": nvd_train + wild_train}
     test_sets = {"NVD": nvd_test, "Wild": wild_test}
@@ -784,14 +764,14 @@ def _run_table6(
                 },
             )
         )
-        fits.append((rnn, _sequences(ew, train_shas, engine), y_train))
+        fits.append((rnn, ew.tokens.sequences(train_shas), y_train))
         keys.append(_rnn_key(train_shas, y_train, eff_epochs, seed))
     # Dispatch the largest training set first, so that a pool starts the
     # longest fit (the NVD+Wild RNN) at once rather than behind the NVD
     # fits.  Each fit owns its RNG: the order changes no row.
     order = sorted(range(len(fits)), key=lambda i: -len(fits[i][2]))
     dispatched = _fit_through_cache(
-        [fits[i] for i in order], [keys[i] for i in order], model_cache, ml_workers, ew.obs
+        [fits[i] for i in order], [keys[i] for i in order], model_cache, ew.ml_workers, ew.obs
     )
     fitted = [None] * len(fits)
     for i, model in zip(order, dispatched):
@@ -802,7 +782,7 @@ def _run_table6(
         rf, rnn = fitted[2 * i], fitted[2 * i + 1]
         for algo, predict in (
             ("Random Forest", lambda shas: rf.predict(ew.cache.matrix(shas))),
-            ("RNN", lambda shas: rnn.predict(_sequences(ew, shas, engine))),
+            ("RNN", lambda shas: rnn.predict(ew.tokens.sequences(shas))),
         ):
             for test_name, test in test_sets.items():
                 shas = [s for s, _ in test]
@@ -843,20 +823,7 @@ def run_checkdelta_ablation(ew: ExperimentWorld, seed: int = 0) -> CheckDeltaRes
 
     Deterministic: identical ``(ew, seed)`` inputs produce identical rows.
     """
-    nvd_sec = ew.nvd_seed_shas
-    wild_sec = [s for s in ew.world.security_shas() if s not in set(nvd_sec)]
-    nonsec = ew.ground_truth_nonsec(2 * (len(nvd_sec) + len(wild_sec)), seed=seed)
-    non_nvd = nonsec[: 2 * len(nvd_sec)]
-    non_wild = nonsec[2 * len(nvd_sec) : 2 * len(nvd_sec) + 2 * len(wild_sec)]
-
-    def split(sec: list[str], non: list[str], split_seed: int):
-        labeled = [(s, 1) for s in sec] + [(s, 0) for s in non]
-        y = np.array([lab for _, lab in labeled])
-        tr, te = train_test_split(len(labeled), 0.2, y=y, stratify=True, seed=split_seed)
-        return [labeled[i] for i in tr], [labeled[i] for i in te]
-
-    nvd_train, nvd_test = split(nvd_sec, non_nvd, seed)
-    wild_train, wild_test = split(wild_sec, non_wild, seed + 1)
+    nvd_train, nvd_test, wild_train, wild_test = _source_splits(ew, seed)
     train = nvd_train + wild_train
     test_sets = {"NVD": nvd_test, "Wild": wild_test}
 

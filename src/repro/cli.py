@@ -58,16 +58,14 @@ from .patch.gitformat import parse_patch
 _SCALES = {"tiny": TINY, "small": SMALL, "medium": MEDIUM}
 
 
-def _experiment_world(
-    args: argparse.Namespace, obs: ObsRegistry, ml_workers: int | None = None
-) -> ExperimentWorld:
+def _experiment_world(args: argparse.Namespace, obs: ObsRegistry) -> ExperimentWorld:
     """Construct the command's ExperimentWorld, honoring the shared flags.
 
-    ``--workers`` parallelizes the sharded world build (and seeds the
-    caches' default worker count); ``--world-cache DIR`` loads/persists the
+    ``--workers`` parallelizes the sharded world build, seeds the caches'
+    default worker count and sizes the classifier-fit pool, on the built
+    and the loaded world alike; ``--world-cache DIR`` loads/persists the
     whole built world as an ``ExperimentWorld.cached`` pickle so repeated
     runs (and CI jobs sharing the artifact) skip construction entirely.
-    *ml_workers* is set on the built and the loaded world alike.
     """
     scale = _SCALES[args.scale]
     if getattr(args, "world_cache", None):
@@ -76,7 +74,7 @@ def _experiment_world(
         )
     else:
         ew = ExperimentWorld(scale, seed=args.seed, workers=args.workers, obs=obs)
-    ew.ml_workers = ml_workers
+    ew.ml_workers = args.workers
     return ew
 
 
@@ -161,7 +159,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     obs = ObsRegistry()
     with obs.span("cli.evaluate", scale=scale.name, seed=args.seed, tables=args.tables):
-        ew = _experiment_world(args, obs, ml_workers=args.ml_workers)
+        ew = _experiment_world(args, obs)
         models = None
         if args.model_cache:
             from .ml.model_cache import FittedModelCache
@@ -623,7 +621,7 @@ def _world_parent() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="process count for the sharded world build and the parallel "
-        "feature/token/lint pools (results are bit-identical at every count)",
+        "feature/token/lint/fit pools (results are bit-identical at every count)",
     )
     parent.add_argument(
         "--world-cache",
@@ -669,14 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_eval.add_argument(
         "--tables", default="3,4,6", help="comma-separated subset of 3,4,6 (default: all)"
-    )
-    p_eval.add_argument(
-        "--ml-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="train classifiers through the parallel engine with N processes; "
-        "results are bit-identical to the serial default",
     )
     p_eval.add_argument(
         "--model-cache",

@@ -66,19 +66,18 @@ def _extract(
     return out
 
 
-def _tokenize_patch(patch: Patch, include_context: bool, obs: ObsRegistry) -> list[str]:
+def _tokenize_patch(patch: Patch, obs: ObsRegistry) -> list[str]:
     """One patch's token sequence, timed under ``tokenize`` and counted as
     a ``token_cache_misses``."""
     with obs.timer("tokenize"):
-        seq = patch_token_sequence(patch, include_context)
+        seq = patch_token_sequence(patch)
     obs.add("token_cache_misses")
     return seq
 
 
-def _tokenize(state: tuple[World, bool], shas: list[str], obs: ObsRegistry) -> list[list[str]]:
-    """Token sequences of *shas*; *state* is ``(world, include_context)``."""
-    world, include_context = state
-    return [_tokenize_patch(world.patch_for(sha), include_context, obs) for sha in shas]
+def _tokenize(world: World, shas: list[str], obs: ObsRegistry) -> list[list[str]]:
+    """Token sequences of the world commits *shas*."""
+    return [_tokenize_patch(world.patch_for(sha), obs) for sha in shas]
 
 
 def _missing(shas: list[str], cached: dict) -> list[str]:
@@ -163,11 +162,11 @@ class TokenSequenceCache:
     optimization: Tables IV and VI re-read the same commits across seeds,
     datasets, and train/test roles, and each is lexed once here instead of
     once per use.  Synthetic patches (which are not world commits but carry
-    deterministic shas) go through :meth:`sequence_of`.
+    deterministic shas) go through :meth:`sequence_of`.  Context lines are
+    never tokenized, like the paper's RNN input.
 
     Args:
         world: the world whose commits are cached.
-        include_context: tokenize context lines too (off, like the paper).
         obs: observability registry; a private one is created if omitted.
         default_workers: default process count for :meth:`sequences` warm-up.
     """
@@ -175,12 +174,10 @@ class TokenSequenceCache:
     def __init__(
         self,
         world: World,
-        include_context: bool = False,
         obs: ObsRegistry | None = None,
         default_workers: int | None = None,
     ) -> None:
         self._world = world
-        self._include_context = include_context
         self._sequences: dict[str, list[str]] = {}
         self.obs = obs if obs is not None else ObsRegistry()
         self.default_workers = default_workers
@@ -191,8 +188,7 @@ class TokenSequenceCache:
         """The token sequence for one world commit."""
         seq = self._sequences.get(sha)
         if seq is None:
-            state = (self._world, self._include_context)
-            seq = self._sequences[sha] = _tokenize(state, [sha], self.obs)[0]
+            seq = self._sequences[sha] = _tokenize(self._world, [sha], self.obs)[0]
         else:
             self.obs.add("token_cache_hits")
         return seq
@@ -206,9 +202,7 @@ class TokenSequenceCache:
         """
         seq = self._sequences.get(patch.sha)
         if seq is None:
-            seq = self._sequences[patch.sha] = _tokenize_patch(
-                patch, self._include_context, self.obs
-            )
+            seq = self._sequences[patch.sha] = _tokenize_patch(patch, self.obs)
         else:
             self.obs.add("token_cache_hits")
         return seq
@@ -230,7 +224,7 @@ class TokenSequenceCache:
                 workers=workers if workers is not None else self.default_workers,
                 obs=self.obs,
                 name="tokenize",
-                state=(self._world, self._include_context),
+                state=self._world,
             )
             self._sequences.update(zip(missing, sequences))
         # Every entry but each missing sha's first is a hit, exactly as

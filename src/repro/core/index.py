@@ -29,11 +29,10 @@ re-materialized lazily only for keys that grew — and both pickle cleanly
 (the derived array cache and the identity-keyed render entries are dropped
 on ``__getstate__``; they rebuild on demand).
 
-A query whose predicate fields are not all indexable (e.g. a future
-``PatchQuery`` field this index predates) makes :meth:`PatchIndex.lookup`
-return ``None``, and :class:`~repro.core.patchdb.PatchDB` falls back to
-the scan path — counted as ``index.fallback`` against ``index.hit`` in
-the observability registry, visible in the service's ``/statsz``.
+Every ``PatchQuery`` predicate field has a posting list (a test fails
+when one is added without an extractor), so every query is planned; a
+pickled index from other code never loads, because the persisted caches
+that hold one are keyed by the source digest (:mod:`repro.persist`).
 """
 
 from __future__ import annotations
@@ -74,9 +73,6 @@ _EMPTY = np.empty(0, dtype=np.int32)
 #: request, so pay that walk once per class instead).
 _PREDICATE_FIELDS: dict[type, tuple[str, ...]] = {}
 
-#: Sentinel distinguishing "memo miss" from a memoized ``None`` (fallback).
-_MISS = object()
-
 #: Planned-query memo cap; cleared wholesale when full (the working set of
 #: distinct queries behind real traffic is far smaller).
 _MEMO_CAP = 512
@@ -113,10 +109,10 @@ class PatchIndex:
         #: (field, value) -> materialized int32 array; rebuilt lazily when
         #: the backing list grew, dropped from pickles.
         self._arrays: dict[tuple[str, object], np.ndarray] = {}
-        #: query -> planned row ids (or None for fallback); queries are
-        #: frozen/hashable, so repeated requests — including the count+page
-        #: pair every serve query issues — plan once.  Cleared on add.
-        self._memo: dict[object, np.ndarray | None] = {}
+        #: query -> planned row ids; queries are frozen/hashable, so
+        #: repeated requests — including the count+page pair of every
+        #: serve query — plan once.  Cleared on add.
+        self._memo: dict[object, np.ndarray] = {}
         self.extend(records)
 
     # ---- incremental maintenance ------------------------------------------
@@ -155,12 +151,10 @@ class PatchIndex:
         self._arrays[(field, key)] = arr
         return arr
 
-    def lookup(self, query: "PatchQuery") -> np.ndarray | None:
+    def lookup(self, query: "PatchQuery") -> np.ndarray:
         """Row ids matching *query*'s predicates, in insertion order.
 
-        Pagination fields are ignored (the caller slices).  Returns
-        ``None`` when the query carries a predicate this index has no
-        posting lists for — the signal to fall back to a scan.  With no
+        Pagination fields are ignored (the caller slices).  With no
         predicates at all, every row matches.
 
         The conjunction plan starts from the smallest posting list and
@@ -169,36 +163,32 @@ class PatchIndex:
         larger lists' concatenation the way ``np.intersect1d`` would.  Each
         list holds unique ascending row ids and filtering preserves the
         survivors' order, so the result stays sorted — i.e. in insertion
-        order, exactly the sequence the scan path would produce.
+        order, exactly the sequence :meth:`PatchQuery.apply` selects.
 
         Plans are memoized per query object value (queries are frozen and
         hashable) until the next :meth:`add`, so the count+page pair every
         serve request issues — and repeated traffic on the same filters —
         plans once.
         """
-        cached = self._memo.get(query, _MISS)
-        if cached is not _MISS:
+        cached = self._memo.get(query)
+        if cached is not None:
             return cached
         with trace_span("index.lookup") as sp:
             out = self._plan(query)
             if sp is not None:
-                sp.attributes["rows"] = -1 if out is None else int(len(out))
+                sp.attributes["rows"] = int(len(out))
         if len(self._memo) >= _MEMO_CAP:
             self._memo.clear()
         self._memo[query] = out
         return out
 
-    def _plan(self, query: "PatchQuery") -> np.ndarray | None:
+    def _plan(self, query: "PatchQuery") -> np.ndarray:
         """The uncached conjunction plan behind :meth:`lookup`."""
         arrays: list[np.ndarray] = []
-        postings = self._postings
         for name in _predicate_fields(type(query)):
             value = getattr(query, name)
-            if value is None:
-                continue
-            if name not in postings:
-                return None  # unindexable predicate: scan fallback
-            arrays.append(self._posting(name, value))
+            if value is not None:
+                arrays.append(self._posting(name, value))
         if not arrays:
             return np.arange(self._n, dtype=np.int32)
         arrays.sort(key=len)

@@ -102,7 +102,7 @@ class PatchDB:
     Args:
         records: initial records.
         obs: observability registry for the ``index.hit`` /
-            ``index.fallback`` / ``render_cache.hit|miss`` counters;
+            ``render_cache.hit|miss`` counters;
             ``None`` skips counting (the serve layer rebinds its own via
             :meth:`rebind_obs`).
     """
@@ -151,17 +151,14 @@ class PatchDB:
 
         Pure-pagination queries slice ``_records`` directly (O(page));
         predicate queries go through the posting-list planner (O(smallest
-        posting list)); unplannable queries scan.  All three produce the
-        same records in the same order.
+        posting list)).  Both produce the records :meth:`PatchQuery.apply`
+        would, in the same order.
         """
         end = None if query.limit is None else query.offset + query.limit
         if query.is_unfiltered:
             self._obs_add("index.hit")
             return self._records[query.offset : end]
         ids = self._index.lookup(query)
-        if ids is None:
-            self._obs_add("index.fallback")
-            return list(query.apply(self._records))
         self._obs_add("index.hit")
         return [self._records[int(i)] for i in ids[query.offset : end]]
 
@@ -175,17 +172,13 @@ class PatchDB:
     def count(self, query: PatchQuery) -> int:
         """How many records match *query*'s predicates (pagination ignored).
 
-        O(smallest posting list) on indexable queries — the planner's
-        intersection is counted, never materialized into records.
+        O(smallest posting list) — the planner's intersection is counted,
+        never materialized into records.
         """
         if query.is_unfiltered:
             return len(self._records)
-        ids = self._index.lookup(query)
-        if ids is None:
-            self._obs_add("index.fallback")
-            return sum(1 for r in self._records if query.matches(r))
         self._obs_add("index.hit")
-        return len(ids)
+        return len(self._index.lookup(query))
 
     def patches(self, query: PatchQuery | None = None) -> list[Patch]:
         """Patches of the records matching *query* (``None``: every record)."""

@@ -102,14 +102,6 @@ def weighted_distance_matrix(security: np.ndarray, wild: np.ndarray) -> np.ndarr
     return np.sqrt(d_sq)
 
 
-def _abs_maxima(*matrices: np.ndarray) -> np.ndarray:
-    """Per-column max-abs over the row-union of non-empty matrices."""
-    stack = [m for m in matrices if len(m)]
-    if not stack:
-        raise FeatureError("cannot compute maxima of empty input")
-    return np.max(np.abs(np.vstack(stack)), axis=0)
-
-
 class DistanceEngine:
     """Incrementally maintained weighted distance matrix for one search set.
 

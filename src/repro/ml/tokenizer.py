@@ -29,22 +29,19 @@ _LITERAL_PLACEHOLDER = {
     TokenKind.CHAR: "<chr>",
 }
 
-_MARKER = {LineKind.ADDED: "<add>", LineKind.REMOVED: "<del>", LineKind.CONTEXT: "<ctx>"}
+_MARKER = {LineKind.ADDED: "<add>", LineKind.REMOVED: "<del>"}
 
 
-def patch_token_sequence(patch: Patch, include_context: bool = False) -> list[str]:
+def patch_token_sequence(patch: Patch) -> list[str]:
     """Flatten a patch into its token sequence.
 
-    Args:
-        patch: the patch to tokenize.
-        include_context: include context lines (off by default — the paper's
-            model reads the change itself).
+    Context lines are skipped: the paper's model reads the change itself.
     """
     out: list[str] = []
     for hunk in patch.hunks:
         out.append("<hunk>")
         for line in hunk.lines:
-            if line.kind is LineKind.CONTEXT and not include_context:
+            if line.kind is LineKind.CONTEXT:
                 continue
             out.append(_MARKER[line.kind])
             for tok in tokenize(line.text):

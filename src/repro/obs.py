@@ -62,9 +62,8 @@ read was outlined; see :func:`repro.corpus.mutate.function_spans`),
 ``files_linted``, ``lint_findings``, ``lint_<checker>`` (one per checker
 id, dashes as underscores), ``variant_equiv_checks``,
 ``variant_equiv_failures``, ``delta_vectors``, ``delta_blob_cache_hits``,
-``index.hit``, ``index.fallback`` (PatchDB queries served by the
-posting-list planner vs. the scan path), ``render_cache.hit``,
-``render_cache.miss`` (memoized record serializations),
+``index.hit`` (PatchDB queries served by the posting-list planner),
+``render_cache.hit``, ``render_cache.miss`` (memoized record serializations),
 ``model_cache_hits``, ``model_cache_misses``, ``models_loaded``,
 ``pool_fallback.<name>`` (a :func:`~repro.parallel.map_chunks` pool that
 could not start, lost a worker, or could not pickle a chunk, so ran

@@ -174,12 +174,10 @@ class ClassifyBatcher:
         self.obs.observe("classify_batch", float(len(batch)))
 
 
-def _record_meta(
-    record: PatchRecord, include_patch: bool = False, patch_text: str | None = None
-) -> dict:
+def _record_meta(record: PatchRecord, patch_text: str | None = None) -> dict:
     """The JSON shape of one record on the query endpoint (metadata-first;
-    the full patch text rides along only on request, rendered through the
-    dataset's render cache when the caller supplies it)."""
+    the full patch text, rendered through the dataset's render cache, rides
+    along only when the caller supplies it)."""
     out = {
         "sha": record.patch.sha,
         "repo": record.patch.repo,
@@ -190,11 +188,7 @@ def _record_meta(
         "subject": record.patch.subject,
         "files_changed": len(record.patch.files),
     }
-    if include_patch:
-        if patch_text is None:
-            from ..patch.gitformat import render_mbox_patch
-
-            patch_text = render_mbox_patch(record.patch)
+    if patch_text is not None:
         out["patch_text"] = patch_text
     return out
 
@@ -330,11 +324,7 @@ class PatchDBService:
                 total = self.db.count(query)
             with trace_span("query.page"):
                 rows = [
-                    _record_meta(
-                        r,
-                        include_patch,
-                        patch_text=self.db.record_mbox(r) if include_patch else None,
-                    )
+                    _record_meta(r, self.db.record_mbox(r) if include_patch else None)
                     for r in self.db.records(query)
                 ]
         return {
@@ -454,14 +444,19 @@ class PatchDBService:
         stats cache, so polling ``/healthz`` at high rate pays the merge
         at most twice a second.
         """
+        return self._health(self.telemetry.endpoint_stats() if self.telemetry.enabled else None)
+
+    def _health(self, endpoints: dict | None) -> dict:
+        """The ``/healthz`` payload around an already computed endpoint
+        table (``None`` when telemetry is off)."""
         out = {
             "status": "ok",
             "records": len(self._records),
             "model_warm": self._model is not None,
             "uptime_s": round(time.time() - self._started_unix, 3),
         }
-        if self.telemetry.enabled:
-            out["endpoints"] = self.telemetry.endpoint_stats()
+        if endpoints is not None:
+            out["endpoints"] = endpoints
         return out
 
     def summary(self) -> dict:
@@ -482,16 +477,18 @@ class PatchDBService:
 
         The payload folds the base registry (build/warm history) together
         with the live one, plus the rolling per-endpoint latency table and
-        trace-store occupancy.
+        trace-store occupancy.  The ``service`` block is :meth:`healthz`
+        over the same endpoint table, so the registries merge once.
         """
+        endpoints = None
         if self.telemetry.enabled:
             merged = self.telemetry.merged(self.obs)
             payload = merged.to_dict()
-            payload["endpoints"] = self.telemetry.endpoint_stats(merged)
+            endpoints = payload["endpoints"] = self.telemetry.endpoint_stats(merged)
             payload["traces"] = self.telemetry.traces.info()
         else:
             payload = self.obs.to_dict()
-        payload["service"] = self.healthz()
+        payload["service"] = self._health(endpoints)
         return payload
 
     def metrics_text(self) -> str:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from ..lang.ast_nodes import (
     DoWhileStmt,
-    Expr,
     FunctionDef,
     IfStmt,
     Node,
@@ -196,8 +195,3 @@ class CheckContext:
         )
         self._coverage = (len(code_line_numbers), opaque)
         return self._coverage
-
-    @property
-    def expr_nodes(self) -> list[Expr]:
-        """All expression nodes in parsed functions."""
-        return [n for fn in self.functions for n in walk(fn) if isinstance(n, Expr)]

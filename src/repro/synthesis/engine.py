@@ -162,14 +162,14 @@ class PatchSynthesizer:
     Variant/side choices are drawn from a generator derived from the base
     seed *and the origin sha*, so :meth:`synthesize` is a pure function of
     ``(seed, sha)`` — independent of call order.  That purity is what lets
-    ``memoize=True`` reuse results bit-identically when the evaluation
-    harness (Table IV) revisits the same training shas across split seeds.
+    every result be memoized per origin sha: the evaluation harness
+    (Table IV) revisits the same training shas across split seeds and gets
+    the same patches back (in a list of its own).
 
     Args:
         world: the world holding the repositories.
         max_per_patch: cap on synthetic patches generated per natural patch.
         seed: base RNG seed choosing variants, sides, and sites.
-        memoize: cache the synthesis result per origin sha.
     """
 
     def __init__(
@@ -177,7 +177,6 @@ class PatchSynthesizer:
         world: World,
         max_per_patch: int = 4,
         seed: int | np.random.Generator | None = 0,
-        memoize: bool = False,
     ) -> None:
         if max_per_patch < 1:
             raise SynthesisError("max_per_patch must be >= 1")
@@ -186,7 +185,7 @@ class PatchSynthesizer:
         if isinstance(seed, np.random.Generator):
             seed = int(seed.integers(np.iinfo(np.int64).max))
         self._base_seed = int(seed) if seed is not None else 0
-        self._memo: dict[str, list[SyntheticPatch]] | None = {} if memoize else None
+        self._memo: dict[str, list[SyntheticPatch]] = {}
 
     def _rng_for(self, sha: str) -> np.random.Generator:
         """The per-origin generator: seeded by (base seed, sha)."""
@@ -194,8 +193,8 @@ class PatchSynthesizer:
 
     def synthesize(self, sha: str) -> list[SyntheticPatch]:
         """Generate synthetic patches for one natural commit."""
-        if self._memo is not None and sha in self._memo:
-            return self._memo[sha]
+        if sha in self._memo:
+            return list(self._memo[sha])
         label = self._world.label(sha)
         repo = self._world.repo_of(sha)
         before_tree, after_tree = repo.before_after(sha)
@@ -214,9 +213,8 @@ class PatchSynthesizer:
             )
             if synthetic is not None:
                 out.append(synthetic)
-        if self._memo is not None:
-            self._memo[sha] = out
-        return out
+        self._memo[sha] = out
+        return list(out)
 
     def _synthesize_one(
         self,

@@ -180,18 +180,25 @@ class TestFig6:
         assert "TV distance" in run_fig6(experiment_world).table()
 
 
+def _pooled(ew, run, **kwargs):
+    """*run* on *ew* with its classifier fits in a 2-worker pool."""
+    ew.ml_workers = 2
+    try:
+        return run(ew, **kwargs)
+    finally:
+        ew.ml_workers = None
+
+
 class TestEngineParity:
-    """The parallel engine must be bit-identical to the serial path."""
+    """Pooled fits (``ew.ml_workers``) must be bit-identical to serial ones."""
 
     def test_table3_engine_matches_serial(self, experiment_world):
         serial = run_table3(experiment_world)
-        engine = run_table3(experiment_world, ml_workers=2)
-        assert serial == engine
+        assert _pooled(experiment_world, run_table3) == serial
 
     def test_table4_engine_matches_serial(self, experiment_world):
         serial = run_table4(experiment_world, n_seeds=1)
-        engine = run_table4(experiment_world, n_seeds=1, ml_workers=2)
-        assert serial.rows == engine.rows
+        assert _pooled(experiment_world, run_table4, n_seeds=1).rows == serial.rows
 
     def test_table6_engine_matches_serial(self, experiment_world, monkeypatch):
         import repro.analysis.experiments as experiments
@@ -200,30 +207,59 @@ class TestEngineParity:
         fit_many = experiments.fit_many
 
         def recording(fits, workers=None, obs=None):
-            dispatched.append([len(y) for _, _, y in fits])
+            dispatched.append(([len(y) for _, _, y in fits], workers))
             return fit_many(fits, workers=workers, obs=obs)
 
         monkeypatch.setattr(experiments, "fit_many", recording)
         serial = run_table6(experiment_world)
-        engine = run_table6(experiment_world, ml_workers=2)
-        assert serial.rows == engine.rows
+        pooled = _pooled(experiment_world, run_table6)
+        assert serial.rows == pooled.rows
+        assert [workers for _, workers in dispatched] == [None, 2]
         # Largest training set first (both fits of NVD+Wild, then NVD's);
         # the rows still come out NVD first.
-        assert len(dispatched) == 2
-        for sizes in dispatched:
+        for sizes, _ in dispatched:
             assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
-        assert [row[0] for row in engine.rows] == ["NVD"] * 4 + ["NVD+Wild"] * 4
+        assert [row[0] for row in pooled.rows] == ["NVD"] * 4 + ["NVD+Wild"] * 4
 
     def test_world_default_ml_workers_inherited(self, experiment_world):
-        # ml_workers=1 runs the engine (token cache, staged fits, synthesis
-        # memo) without a pool; rows must still match the legacy path.
+        # The runners read the pool size off the world; 1 fits serially.
         serial = run_table6(experiment_world)
+        obs = experiment_world.obs
+        before = obs.count("fits_parallel"), obs.count("fits_serial")
         experiment_world.ml_workers = 1
         try:
-            engine = run_table6(experiment_world)
+            single = run_table6(experiment_world)
         finally:
             experiment_world.ml_workers = None
-        assert engine.rows == serial.rows
+        assert single.rows == serial.rows
+        assert obs.count("fits_parallel") == before[0]
+        assert obs.count("fits_serial") == before[1] + 4
+
+
+class TestPinnedRows:
+    """The rendered Tables IV and VI of the shared TINY world (seed 2021).
+
+    The digests were taken before the uncached evaluation path was
+    deleted, on that path, so they pin its rows on the one path left.
+    """
+
+    @staticmethod
+    def _digest(text: str) -> str:
+        import hashlib
+
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def test_table4_rows_pinned(self, experiment_world):
+        table = run_table4(experiment_world, n_seeds=1).table()
+        assert self._digest(table) == (
+            "ca3ca801bea4a8ab0b575a12a0d7d9e5d1cb516a87f5546d9929984f03853629"
+        ), table
+
+    def test_table6_rows_pinned(self, experiment_world):
+        table = run_table6(experiment_world).table()
+        assert self._digest(table) == (
+            "bb71144cdf47f12f7bb1f32c2fe674536519daaae3f0f4b97c9910a5f985fc95"
+        ), table
 
 
 class TestModelCacheRouting:

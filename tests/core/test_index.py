@@ -139,21 +139,15 @@ class TestPlanner:
         ids = index.lookup(PatchQuery(limit=2, offset=1))
         assert [int(i) for i in ids] == [0, 1, 2, 3, 4]  # caller slices
 
-    def test_unindexable_predicate_returns_none(self):
-        index = PatchIndex(_fixed_records())
-        del index._postings["repo"]  # simulate a field this index predates
-        assert index.lookup(PatchQuery(repo="systemd/systemd")) is None
+    def test_every_predicate_field_has_an_extractor(self):
+        # The planner has no scan path: a PatchQuery filter added without
+        # a posting list would raise on the first query that sets it.
+        from dataclasses import fields
 
-    def test_fallback_scan_still_correct_and_counted(self):
-        records = _fixed_records()
-        obs = ObsRegistry()
-        db = PatchDB(records, obs=obs)
-        del db._index._postings["repo"]
-        query = PatchQuery(repo="systemd/systemd")
-        assert db.records(query) == [r for r in records if r.patch.repo == "systemd/systemd"]
-        assert db.count(query) == 2
-        assert obs.count("index.fallback") == 2
-        assert obs.count("index.hit") == 0
+        from repro.core.index import _EXTRACTORS
+
+        predicates = {f.name for f in fields(PatchQuery)} - {"limit", "offset"}
+        assert predicates == set(_EXTRACTORS)
 
     def test_hits_counted(self):
         obs = ObsRegistry()
@@ -162,7 +156,6 @@ class TestPlanner:
         db.records(PatchQuery(limit=2))  # pure pagination
         db.count(PatchQuery(source="wild"))
         assert obs.count("index.hit") == 3
-        assert obs.count("index.fallback") == 0
 
 
 class TestRenderCache:

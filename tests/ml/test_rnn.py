@@ -86,10 +86,6 @@ class TestPatchTokenSequence:
         seq = patch_token_sequence(parse_patch(listing_1))
         assert "<ctx>" not in seq
 
-    def test_context_included_on_request(self, listing_1):
-        seq = patch_token_sequence(parse_patch(listing_1), include_context=True)
-        assert "<ctx>" in seq
-
 
 def _toy_dataset(n=300, seed=0):
     """Security-ish = contains an if-guard pattern; other = assignment."""

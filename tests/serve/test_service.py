@@ -309,6 +309,23 @@ class TestObservability:
         assert stats["counters"]["http_5xx"] >= 1
         assert stats["service"]["status"] == "ok"
 
+    def test_statsz_merges_live_registry_once(self, service, monkeypatch):
+        from repro.obs import ObsRegistry
+
+        merged = []
+        merge = ObsRegistry.merge
+
+        def counting(self, other):
+            merged.append(other)
+            return merge(self, other)
+
+        monkeypatch.setattr(ObsRegistry, "merge", counting)
+        service.record_request("query", 200, 0.01)
+        service.telemetry._stats_cache = None  # stale: healthz would re-merge
+        stats = service.statsz()
+        assert len(merged) == 2  # base, then live; the service block reuses them
+        assert stats["service"]["endpoints"] == stats["endpoints"]
+
     def test_model_cache_key_uses_config(self, service):
         natural, labels = service._training_set()
         from repro.ml import training_key

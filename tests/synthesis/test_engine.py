@@ -182,6 +182,14 @@ class TestPatchSynthesizer:
         b = PatchSynthesizer(tiny_world, seed=7).synthesize(sha)
         assert [sp.patch.sha for sp in a] == [sp.patch.sha for sp in b]
 
+    def test_repeat_call_served_from_memo(self, tiny_world, monkeypatch):
+        sha = tiny_world.security_shas()[0]
+        fresh = [sp.patch.sha for sp in PatchSynthesizer(tiny_world, seed=7).synthesize(sha)]
+        synth = PatchSynthesizer(tiny_world, seed=7)
+        synth.synthesize(sha).clear()  # each caller owns its list
+        monkeypatch.setattr(tiny_world, "repo_of", lambda _: pytest.fail("re-synthesized"))
+        assert [sp.patch.sha for sp in synth.synthesize(sha)] == fresh
+
     def test_bad_max_per_patch(self, tiny_world):
         with pytest.raises(SynthesisError):
             PatchSynthesizer(tiny_world, max_per_patch=0)
@@ -252,10 +260,14 @@ class TestParseOnceSynthesis:
             synth.synthesize(sha)
             first = len(count_parses)
             assert first <= 2 * len(world.patch_for(sha).files)
-            # No cache outlives a call: the same sha parses again.
+            # The located sites live for one call: a fresh synthesizer
+            # parses the same sha again, and this one serves its memo.
+            count_parses.clear()
+            PatchSynthesizer(world, seed=0).synthesize(sha)
+            assert len(count_parses) == first
             count_parses.clear()
             synth.synthesize(sha)
-            assert len(count_parses) == first
+            assert len(count_parses) == 0
             shared += first
         count_parses.clear()
         for sha in world.security_shas():

@@ -201,7 +201,7 @@ class TestEvaluate:
                     "tiny",
                     "--tables",
                     "6",
-                    "--ml-workers",
+                    "--workers",
                     "2",
                     "--stats",
                 ]
@@ -214,6 +214,7 @@ class TestEvaluate:
         assert "Table III" not in captured.out
         assert "token_cache_misses" in captured.err
         assert "token_cache_hits" in captured.err
+        assert "fits_parallel" in captured.err  # --workers sizes the fit pool
         assert "phase timings:" in captured.err
 
     def test_unknown_table_rejected(self, capsys):
