@@ -11,9 +11,13 @@ outside the world (synthetic patches) by their deterministic shas.
 **Chunked parallel extraction** — ``matrix(shas, workers=N)`` and
 ``sequences(shas, workers=N)`` hand the not-yet-cached shas to
 :func:`repro.parallel.map_chunks`, which fans them out to a process pool
-when there are at least two per worker.  The pool receives the world once
-per worker and runs the same per-sha function as the serial path, so
-results and merged obs counters are identical to serial extraction.  Only
+when there are at least two per worker.  The workers inherit the cache (and
+so the world) by fork, and run the same per-sha function as the serial
+path, so results and merged obs counters are identical to serial
+extraction.  Each cache hands ``map_chunks`` one stable state (the feature
+cache itself; the token cache its world), so consecutive calls reuse the
+pool that forked with that state, until a call with another state replaces
+it or the state is dropped with its world.  Only
 pool-infrastructure failures fall back to serial (counted in
 ``pool_fallback.extract`` / ``pool_fallback.tokenize``); an error raised
 while extracting propagates.
@@ -40,14 +44,12 @@ from ..patch.model import Patch
 __all__ = ["PatchFeatureCache", "TokenSequenceCache"]
 
 
-def _extract(
-    state: tuple[World, bool, dict[str, FeatureExtractor]], shas: list[str], obs: ObsRegistry
-) -> list[np.ndarray]:
+def _extract(cache: PatchFeatureCache, shas: list[str], obs: ObsRegistry) -> list[np.ndarray]:
     """Feature vectors of *shas*; one ``extract`` timing and one
-    ``vectors_extracted`` count per sha.  *state* is ``(world,
-    use_repo_context, extractors)``, the last a per-repo memo: building an
-    extractor with context checks out the repository's whole head tree."""
-    world, use_context, extractors = state
+    ``vectors_extracted`` count per sha.  *cache* supplies the world, the
+    context flag and its per-repo extractor memo: building an extractor
+    with context checks out the repository's whole head tree."""
+    world, use_context, extractors = cache._world, cache._use_context, cache._extractors
     out = []
     for sha in shas:
         slug = world.label(sha).repo_slug
@@ -110,14 +112,11 @@ class PatchFeatureCache:
 
     # ---- extraction -------------------------------------------------------
 
-    def _state(self) -> tuple[World, bool, dict[str, FeatureExtractor]]:
-        return self._world, self._use_context, self._extractors
-
     def vector(self, sha: str) -> np.ndarray:
         """The 60-dim feature vector for one commit."""
         vec = self._vectors.get(sha)
         if vec is None:
-            vec = self._vectors[sha] = _extract(self._state(), [sha], self.obs)[0]
+            vec = self._vectors[sha] = _extract(self, [sha], self.obs)[0]
         else:
             self.obs.add("vector_cache_hits")
         return vec
@@ -141,7 +140,9 @@ class PatchFeatureCache:
                 workers=workers if workers is not None else self.default_workers,
                 obs=self.obs,
                 name="extract",
-                state=self._state(),
+                # The cache itself: one stable state, so consecutive
+                # extractions reuse the pool that forked with it.
+                state=self,
             )
             self._vectors.update(zip(missing, vectors))
         # Every row but each missing sha's first is a hit, exactly as

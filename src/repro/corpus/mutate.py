@@ -15,7 +15,7 @@ from contextvars import ContextVar
 import numpy as np
 
 from ..diffing.myers import common_affixes
-from ..lang.lexer import code_tokens
+from ..lang.lexer import tokenize
 from ..lang.parser import FunctionSpan, Outline, outline_functions
 from ..lang.tokens import TokenKind
 
@@ -195,13 +195,21 @@ def body_range(fn: FunctionSpan) -> tuple[int, int]:
 
 
 def identifiers_in(lines: list[str]) -> list[str]:
-    """Distinct identifiers appearing in the given lines, in order."""
-    seen: list[str] = []
-    for line in lines:
-        for tok in code_tokens(line):
-            if tok.kind is TokenKind.IDENTIFIER and tok.text not in seen:
-                seen.append(tok.text)
-    return seen
+    """Distinct identifiers appearing in the given lines, in order.
+
+    Each line is lexed on its own terms, as if it stood alone.  The lines
+    are lexed joined, once; that gives the same tokens whenever every
+    newline between them lexes as a NEWLINE token, because the lexer then
+    starts each line in the state a lone line starts in.  A newline taken
+    inside another token (an unclosed ``/*``, a line ending in ``\\``, or
+    a continued directive) makes the joined lex differ, and then each line
+    is lexed alone.  String and char literals stop at a newline, so an
+    unterminated one never crosses it.
+    """
+    tokens = tokenize("\n".join(lines), keep_newlines=True)
+    if sum(t.kind is TokenKind.NEWLINE for t in tokens) != len(lines) - 1:
+        tokens = [t for line in lines for t in tokenize(line)]
+    return list(dict.fromkeys(t.text for t in tokens if t.kind is TokenKind.IDENTIFIER))
 
 
 def indent_of(line: str) -> str:

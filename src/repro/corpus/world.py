@@ -209,8 +209,9 @@ class World:
 
     def __getstate__(self) -> dict:
         # The patch cache is a pure memo over repo contents; pickling it
-        # would bloat `ExperimentWorld.cached` artifacts and every payload
-        # shipped to pool workers.  Drop it and re-warm lazily on use.
+        # would bloat `ExperimentWorld.cached` artifacts.  Drop it and
+        # re-warm lazily on use.  (Pool workers inherit the world by fork,
+        # memo included, so nothing here is pickled for them.)
         state = self.__dict__.copy()
         state["_patch_cache"] = {}
         return state

@@ -2,14 +2,22 @@
 
 Pins the two paths' parity, the fallback contract (an exception raised by
 ``fn`` in a worker propagates; only pool-infrastructure failures fall back,
-each counted), and that no other module builds its own process pool.
+each counted), the live pool's lifetime (reused per state, shut down with
+it), and that no other module builds its own process pool.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -43,6 +51,45 @@ def _exits_in_child(parent, chunk, obs):
     if os.getpid() != parent:
         os._exit(1)
     return list(chunk)
+
+
+class _State:
+    """A state that can be weakly referenced; ``parent`` is the pid of the
+    process that made it."""
+
+    def __init__(self) -> None:
+        self.parent = os.getpid()
+
+
+def _pid(state, chunk, obs):
+    return [os.getpid() for _ in chunk]
+
+
+def _state_parent(state, chunk, obs):
+    return [state.parent for _ in chunk]
+
+
+def _state_exits_in_child(state, chunk, obs):
+    return _exits_in_child(state.parent, chunk, obs)
+
+
+def _pool_pids(state) -> set[int]:
+    """The pids that ran a pooled call with *state*."""
+    result = map_chunks(_pid, list(range(8)), workers=2, obs=ObsRegistry(), name="toy", state=state)
+    assert result.parallel
+    return set(result)
+
+
+def _children() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
 
 
 class TestPaths:
@@ -103,6 +150,104 @@ class TestFallbackContract:
         assert obs.count("pool_fallback.toy") == 1
 
 
+class TestLivePool:
+    def test_same_state_reuses_the_workers(self):
+        state = _State()
+        first = _pool_pids(state)
+        workers = _children()
+        second = _pool_pids(state)
+        assert _children() == workers
+        assert first | second <= workers
+
+    def test_new_state_gets_new_workers(self):
+        state = _State()
+        first = _pool_pids(state)
+        replacement = _State()
+        second = _pool_pids(replacement)
+        assert first.isdisjoint(second)
+        assert all(_gone(pid) for pid in first)
+
+    def test_stateless_call_reuses_the_live_pool(self):
+        state = _State()
+        _pool_pids(state)
+        workers = _children()
+        assert _pool_pids(None) <= workers
+        assert _children() == workers
+        # The stateful pool still serves its state afterwards.
+        assert _pool_pids(state) <= workers
+
+    def test_workers_exit_when_the_state_is_dropped(self):
+        state = _State()
+        pids = _pool_pids(state)
+        ref = weakref.ref(state)
+        del state
+        assert ref() is None
+        assert all(_gone(pid) for pid in pids)
+
+    def test_pool_is_replaced_after_a_dead_worker(self):
+        state = _State()
+        obs = ObsRegistry()
+        result = map_chunks(
+            _state_exits_in_child, list(range(8)), workers=2, obs=obs, name="toy", state=state
+        )
+        assert not result.parallel and obs.count("pool_fallback.toy") == 1
+        result = map_chunks(_state_parent, list(range(8)), workers=2, obs=obs, name="toy", state=state)
+        assert result.parallel and result == [os.getpid()] * 8
+        assert obs.count("pool_fallback.toy") == 1
+
+    def test_forked_child_forks_its_own_pool(self):
+        state = _State()
+        parent_pids = _pool_pids(state)
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the forked child
+            status = 1
+            try:
+                own = _State()
+                inherited = _pool_pids(state)
+                status = 0 if inherited.isdisjoint(parent_pids) and _pool_pids(own) else 1
+                del own  # shuts down the child's pool before it exits
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60
+        while not (done := os.waitpid(child, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if not done[0]:  # still running: it hangs on a pool it must not use
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert _pool_pids(state) <= parent_pids
+
+    @pytest.mark.parametrize("state", ["None", "_State()"])
+    def test_process_exit_is_clean(self, state):
+        script = textwrap.dedent(
+            f"""
+            import os
+            from repro.obs import ObsRegistry
+            from repro.parallel import map_chunks
+
+            def pid(state, chunk, obs):
+                return [os.getpid() for _ in chunk]
+
+            class _State:
+                pass
+
+            STATE = {state}
+            result = map_chunks(pid, list(range(8)), workers=2, obs=ObsRegistry(), name="toy",
+                                state=STATE)
+            assert result.parallel
+            print(*sorted(set(result)))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert pids and all(_gone(pid) for pid in pids)
+
+
 def test_only_parallel_builds_a_process_pool():
     root = Path(repro.__file__).parent
     offenders = []
@@ -112,5 +257,20 @@ def test_only_parallel_builds_a_process_pool():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
             if name == "ProcessPoolExecutor":
+                offenders.append(str(path.relative_to(root)))
+    assert offenders == []
+
+
+def test_serve_never_pools():
+    """A pool forked from a process that runs server threads could inherit
+    a lock some thread held; ``repro.serve`` stays serial."""
+    root = Path(repro.__file__).parent / "serve"
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.asname or node.name
+            if name == "map_chunks":
                 offenders.append(str(path.relative_to(root)))
     assert offenders == []
