@@ -24,7 +24,7 @@ import time
 from conftest import print_table
 
 from repro.core.augmentation import DatasetAugmentation, SearchSet
-from repro.core.cache import PatchFeatureCache
+from repro.core.cache import CommitCache
 from repro.core.oracle import VerificationOracle
 from repro.obs import ObsRegistry
 
@@ -48,7 +48,7 @@ def test_incremental_schedule_2x_faster_than_full(benchmark, bench_world):
     pool = bench_world.wild_pool(10**9, exclude=set(seed_shas))
     assert len(pool) >= MIN_POOL, f"bench world too small: {len(pool)} wild patches"
 
-    cache = PatchFeatureCache(world)
+    cache = CommitCache(world)
     cache.matrix(seed_shas + pool)  # pre-warm: both modes start feature-hot
     search_sets = [SearchSet("Set I", tuple(pool), rounds=ROUNDS)]
 

@@ -47,7 +47,7 @@ from conftest import print_table
 from repro.analysis.experiments import build_patchdb
 from repro.core import PatchQuery
 from repro.core.augmentation import DatasetAugmentation, SearchSet
-from repro.core.cache import PatchFeatureCache
+from repro.core.cache import CommitCache
 from repro.core.oracle import VerificationOracle
 from repro.ml.model_cache import FittedModelCache
 from repro.obs import ObsRegistry
@@ -86,7 +86,7 @@ def test_obs_overhead_under_3_percent(benchmark, bench_world):
     world = bench_world.world
     seed_shas = sorted(world.security_shas())[::2]
     pool = bench_world.wild_pool(10**9, exclude=set(seed_shas))
-    cache = PatchFeatureCache(world)
+    cache = CommitCache(world)
     cache.matrix(seed_shas + pool)  # pre-warm: measure the loop, not extraction
     search_sets = [SearchSet("Set I", tuple(pool), rounds=ROUNDS)]
 

@@ -30,7 +30,7 @@ from ..core.baselines import (
     pseudo_label_candidates,
     uncertainty_candidates,
 )
-from ..core.cache import PatchFeatureCache, TokenSequenceCache
+from ..core.cache import CommitCache
 from ..core.categorize import categorize_patch
 from ..core.oracle import VerificationOracle
 from ..core.patchdb import PatchDB, PatchRecord
@@ -127,20 +127,21 @@ class ExperimentWorld:
     """A built world plus the shared per-experiment infrastructure.
 
     Construction always builds the world, its NVD and the crawl from
-    scratch; the feature and token caches start empty and fill in memory.
+    scratch; its commit cache (``cache``: feature vectors and token
+    sequences) starts empty and fills in memory.
     :meth:`cached` is the one way to reuse a built world across processes.
 
     Args:
         scale: corpus-size preset.
         seed: world RNG seed.
-        workers: process count for the sharded world build and the default
-            for parallel feature extraction and token-cache warm-up; the
-            built world is bit-identical at every worker count.
+        workers: process count for the sharded world build and for the
+            commit cache's parallel extraction and tokenization; the built
+            world is bit-identical at every worker count.
         ml_workers: process count for the classifier fits of
             :func:`run_table3`/:func:`run_table4`/:func:`run_table6`
             (:func:`repro.ml.fit_many`); ``None`` or ``1`` fits serially.
             Rows are bit-identical at every count.
-        obs: observability registry shared by the world build, both caches,
+        obs: observability registry shared by the world build, the cache,
             and every runner; a private one is created if omitted.  World
             construction, NVD synthesis, and the crawl are recorded as
             spans (``world.build``, ``nvd.build``, ``nvd.crawl``).
@@ -169,8 +170,7 @@ class ExperimentWorld:
             self.nvd: NvdDatabase = build_nvd(self.world, NvdConfig(seed=seed + 1))
         with self.obs.span("nvd.crawl"):
             self.crawl: CrawlResult = NvdCrawler(self.world).crawl(self.nvd)
-        self.cache = PatchFeatureCache(self.world, obs=self.obs, default_workers=workers)
-        self.tokens = TokenSequenceCache(self.world, obs=self.obs, default_workers=workers)
+        self.cache = CommitCache(self.world, obs=self.obs, workers=workers)
         self._deltas = None
 
     @property
@@ -258,7 +258,6 @@ class ExperimentWorld:
         """
         self.obs = obs
         self.cache.obs = obs
-        self.tokens.obs = obs
         if getattr(self, "_deltas", None) is not None:
             self._deltas.obs = obs
 
@@ -469,7 +468,7 @@ def run_table4(
     The ``2 datasets x n_seeds x {natural, synthetic}`` RNN fits are
     mutually independent, so they run through :func:`repro.ml.fit_many`
     in a pool of ``ew.ml_workers`` processes, on token sequences served
-    from ``ew.tokens`` and per-origin synthesis memoized by the
+    from ``ew.cache`` and per-origin synthesis memoized by the
     synthesizer — the same rows at every worker count, bit for bit.
 
     With *model_cache* set, each fit is first looked up by its
@@ -514,8 +513,8 @@ def _run_table4(
             train_shas = [labeled[i] for i in train_idx]
             test_shas = [labeled[i] for i in test_idx]
 
-            train_seqs = ew.tokens.sequences([s for s, _ in train_shas])
-            test_seqs = ew.tokens.sequences([s for s, _ in test_shas])
+            train_seqs = ew.cache.sequences([s for s, _ in train_shas])
+            test_seqs = ew.cache.sequences([s for s, _ in test_shas])
             y_train = np.array([lab for _, lab in train_shas])
             y_test = np.array([lab for _, lab in test_shas])
             # Fix the epoch budget from the *natural* train size so the with-
@@ -541,7 +540,7 @@ def _run_table4(
             for s, lab in train_shas:
                 for sp in synth.synthesize(s):
                     syn_shas.append(sp.patch.sha)
-                    syn_seqs.append(ew.tokens.sequence_of(sp.patch))
+                    syn_seqs.append(ew.cache.sequence_of(sp.patch))
                     syn_labels.append(lab)
             synth_totals[d_idx][0] += sum(1 for lab in syn_labels if lab == 1)
             synth_totals[d_idx][1] += sum(1 for lab in syn_labels if lab == 0)
@@ -722,7 +721,7 @@ def run_table6(
 
     The four fits (RF and RNN per train set) are independent; they run
     through :func:`repro.ml.fit_many` in a pool of ``ew.ml_workers``
-    processes, with token sequences served from ``ew.tokens`` — the same
+    processes, with token sequences served from ``ew.cache`` — the same
     rows at every worker count, bit for bit.  With *model_cache* set, fits
     whose training-set sha key is already cached are served from the cache
     (re-evaluation with an unchanged training set never re-fits).
@@ -764,7 +763,7 @@ def _run_table6(
                 },
             )
         )
-        fits.append((rnn, ew.tokens.sequences(train_shas), y_train))
+        fits.append((rnn, ew.cache.sequences(train_shas), y_train))
         keys.append(_rnn_key(train_shas, y_train, eff_epochs, seed))
     # Dispatch the largest training set first, so that a pool starts the
     # longest fit (the NVD+Wild RNN) at once rather than behind the NVD
@@ -782,7 +781,7 @@ def _run_table6(
         rf, rnn = fitted[2 * i], fitted[2 * i + 1]
         for algo, predict in (
             ("Random Forest", lambda shas: rf.predict(ew.cache.matrix(shas))),
-            ("RNN", lambda shas: rnn.predict(ew.tokens.sequences(shas))),
+            ("RNN", lambda shas: rnn.predict(ew.cache.sequences(shas))),
         ):
             for test_name, test in test_sets.items():
                 shas = [s for s, _ in test]

@@ -2,7 +2,7 @@
 
 Nearest link search (Algorithm 1), the human-in-the-loop augmentation
 scheme (Fig. 2), the Table III baselines, the verification oracle, the
-Table V categorizer, feature caching, and the PatchDB dataset container.
+Table V categorizer, the per-world commit cache, and the PatchDB dataset container.
 """
 
 from .augmentation import AugmentationOutcome, DatasetAugmentation, RoundResult, SearchSet
@@ -14,7 +14,7 @@ from .baselines import (
     pseudo_label_candidates,
     uncertainty_candidates,
 )
-from .cache import PatchFeatureCache, TokenSequenceCache
+from .cache import CommitCache
 from .categorize import categorize_many, categorize_patch
 from .index import PatchIndex, RecordRenderCache
 from .nearest_link import NearestLinkResult, exact_assignment, link_distances, nearest_link_search
@@ -25,10 +25,10 @@ from .query import PatchQuery, QueryError
 __all__ = [
     "AugmentationOutcome",
     "BaselineResult",
+    "CommitCache",
     "DatasetAugmentation",
     "NearestLinkResult",
     "PatchDB",
-    "PatchFeatureCache",
     "PatchIndex",
     "PatchQuery",
     "PatchRecord",
@@ -37,7 +37,6 @@ __all__ = [
     "RoundResult",
     "SOURCES",
     "SearchSet",
-    "TokenSequenceCache",
     "VerificationOracle",
     "VerificationStats",
     "brute_force_candidates",

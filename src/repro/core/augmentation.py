@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import AugmentationError
 from ..features.normalize import DistanceEngine, weighted_distance_matrix
 from ..obs import ObsRegistry
-from .cache import PatchFeatureCache
+from .cache import CommitCache
 from .nearest_link import nearest_link_search
 from .oracle import VerificationOracle
 
@@ -92,10 +92,10 @@ class AugmentationOutcome:
 
 
 class DatasetAugmentation:
-    """The augmentation loop bound to a world, oracle, and feature cache.
+    """The augmentation loop bound to a world, oracle, and commit cache.
 
     Args:
-        cache: feature cache over the world.
+        cache: the commit cache over the world (its feature vectors).
         oracle: the verification panel.
         ratio_threshold: stop early when a round's yield drops below this.
         incremental: maintain the per-set distance matrix with a
@@ -106,7 +106,7 @@ class DatasetAugmentation:
 
     def __init__(
         self,
-        cache: PatchFeatureCache,
+        cache: CommitCache,
         oracle: VerificationOracle,
         ratio_threshold: float = 0.0,
         incremental: bool = True,

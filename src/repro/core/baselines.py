@@ -28,7 +28,7 @@ from ..features.normalize import weighted_distance_matrix
 from ..ml import RandomForestClassifier, fit_many, weka_ensemble
 from ..ml.base import Classifier, seeded_rng
 from ..ml.metrics import proportion_confidence_interval
-from .cache import PatchFeatureCache
+from .cache import CommitCache
 from .nearest_link import nearest_link_search
 from .oracle import VerificationOracle
 
@@ -69,7 +69,7 @@ def brute_force_candidates(pool: list[str]) -> list[str]:
 
 
 def pseudo_label_candidates(
-    cache: PatchFeatureCache,
+    cache: CommitCache,
     seed_security: list[str],
     seed_non_security: list[str],
     pool: list[str],
@@ -101,7 +101,7 @@ def pseudo_label_candidates(
 
 
 def uncertainty_candidates(
-    cache: PatchFeatureCache,
+    cache: CommitCache,
     seed_security: list[str],
     seed_non_security: list[str],
     pool: list[str],
@@ -140,7 +140,7 @@ def uncertainty_candidates(
 
 
 def nearest_link_candidates(
-    cache: PatchFeatureCache, seed_security: list[str], pool: list[str]
+    cache: CommitCache, seed_security: list[str], pool: list[str]
 ) -> list[str]:
     """Nearest link search candidates (our method)."""
     distance = weighted_distance_matrix(cache.matrix(seed_security), cache.matrix(pool))

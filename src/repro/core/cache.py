@@ -1,28 +1,29 @@
-"""Feature-vector and token-sequence caching over a world.
+"""One per-world cache of the commits' feature vectors and token sequences.
 
-Every experiment consumes the same Table I features and the same RNN token
-sequences for the same commits; these caches compute each sha's
-representation once and assemble matrices/sequence lists on demand.
-:class:`PatchFeatureCache` is deliberately tied to shas (not Patch objects)
-so the augmentation loop, baselines, and quality experiments share one
-cache; :class:`TokenSequenceCache` additionally memoizes patches that live
-outside the world (synthetic patches) by their deterministic shas.
+Every experiment consumes the same Table I features (Random Forest, nearest
+link search) and the same RNN token sequences for the same commits;
+:class:`CommitCache` computes each sha's vector and sequence once and
+assembles matrices and sequence lists on demand.  It is tied to shas (not
+Patch objects) so the augmentation loop, baselines, and quality experiments
+share one cache; :meth:`CommitCache.sequence_of` additionally memoizes
+patches that live outside the world (synthetic patches) by their
+deterministic shas.
 
-**Chunked parallel extraction** — ``matrix(shas, workers=N)`` and
-``sequences(shas, workers=N)`` hand the not-yet-cached shas to
-:func:`repro.parallel.map_chunks`, which fans them out to a process pool
-when there are at least two per worker.  The workers inherit the cache (and
-so the world) by fork, and run the same per-sha function as the serial
-path, so results and merged obs counters are identical to serial
-extraction.  Each cache hands ``map_chunks`` one stable state (the feature
-cache itself; the token cache its world), so consecutive calls reuse the
-pool that forked with that state, until a call with another state replaces
-it or the state is dropped with its world.  Only
+**Chunked parallel extraction** — ``matrix`` and ``sequences`` hand the
+not-yet-cached shas to :func:`repro.parallel.map_chunks`, which fans them
+out to a pool of the cache's ``workers`` processes when there are at least
+two per worker.  The workers inherit the cache (and so the world) by fork,
+and run the same per-sha function as the serial path, so results and merged
+obs counters are identical to serial extraction.  The cache hands
+``map_chunks`` itself as the one state for both extraction and
+tokenization, so every call reuses the pool that forked with it (as do
+``state=None`` calls such as model fits), until a call with another state
+replaces it or the cache is dropped with its world.  Only
 pool-infrastructure failures fall back to serial (counted in
 ``pool_fallback.extract`` / ``pool_fallback.tokenize``); an error raised
 while extracting propagates.
 
-Both caches live in memory only and start empty in every process.  What
+The cache lives in memory only and starts empty in every process.  What
 pays across processes is the ``ExperimentWorld`` pickle (``--world-cache``),
 which skips world construction; re-extracting the vectors and tokens after
 it costs less than world construction (EXPERIMENTS.md, "Persist only what
@@ -30,6 +31,8 @@ pays").
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -41,25 +44,22 @@ from ..obs import ObsRegistry
 from ..parallel import map_chunks
 from ..patch.model import Patch
 
-__all__ = ["PatchFeatureCache", "TokenSequenceCache"]
+__all__ = ["CommitCache"]
 
 
-def _extract(cache: PatchFeatureCache, shas: list[str], obs: ObsRegistry) -> list[np.ndarray]:
+def _extract(cache: CommitCache, shas: list[str], obs: ObsRegistry) -> list[np.ndarray]:
     """Feature vectors of *shas*; one ``extract`` timing and one
-    ``vectors_extracted`` count per sha.  *cache* supplies the world, the
-    context flag and its per-repo extractor memo: building an extractor
-    with context checks out the repository's whole head tree."""
-    world, use_context, extractors = cache._world, cache._use_context, cache._extractors
+    ``vectors_extracted`` count per sha.  *cache* supplies the world and
+    its per-repo extractor memo: building an extractor checks out the
+    repository's whole head tree."""
+    world, extractors = cache._world, cache._extractors
     out = []
     for sha in shas:
         slug = world.label(sha).repo_slug
         extractor = extractors.get(slug)
         if extractor is None:
-            context = None
-            if use_context:
-                files, funcs = world.repos[slug].stats_at_head()
-                context = RepoContext(total_files=files, total_functions=funcs)
-            extractor = FeatureExtractor(context)
+            files, funcs = world.repos[slug].stats_at_head()
+            extractor = FeatureExtractor(RepoContext(total_files=files, total_functions=funcs))
             extractors[slug] = extractor
         patch = world.patch_for(sha)
         with obs.timer("extract"):
@@ -77,122 +77,83 @@ def _tokenize_patch(patch: Patch, obs: ObsRegistry) -> list[str]:
     return seq
 
 
-def _tokenize(world: World, shas: list[str], obs: ObsRegistry) -> list[list[str]]:
+def _tokenize(cache: CommitCache, shas: list[str], obs: ObsRegistry) -> list[list[str]]:
     """Token sequences of the world commits *shas*."""
-    return [_tokenize_patch(world.patch_for(sha), obs) for sha in shas]
+    return [_tokenize_patch(cache._world.patch_for(sha), obs) for sha in shas]
 
 
-def _missing(shas: list[str], cached: dict) -> list[str]:
-    """The distinct shas of *shas* not in *cached*, in first-seen order."""
-    return list(dict.fromkeys(s for s in shas if s not in cached))
+class CommitCache:
+    """Lazily-computed sha → feature vector and sha → token sequence maps
+    for one world.
 
-
-class PatchFeatureCache:
-    """Lazily-computed sha → feature-vector map for one world.
+    Both are exact optimizations: extraction and tokenization are pure
+    functions of the patch, and Tables III–VI re-read the same commits
+    across seeds, datasets, and train/test roles.  Context lines are never
+    tokenized, like the paper's RNN input.
 
     Args:
         world: the world whose commits are cached.
-        use_repo_context: give extractors repository-size denominators.
         obs: observability registry; a private one is created if omitted.
+        workers: >1 extracts and tokenizes missing shas in a process pool
+            of this size; results, merged obs counters included, are
+            identical to serial extraction.
     """
 
     def __init__(
         self,
         world: World,
-        use_repo_context: bool = True,
         obs: ObsRegistry | None = None,
-        default_workers: int | None = None,
+        workers: int | None = None,
     ) -> None:
         self._world = world
         self._vectors: dict[str, np.ndarray] = {}
+        self._sequences: dict[str, list[str]] = {}
         self._extractors: dict[str, FeatureExtractor] = {}
-        self._use_context = use_repo_context
         self.obs = obs if obs is not None else ObsRegistry()
-        self.default_workers = default_workers
+        self.workers = workers
 
-    # ---- extraction -------------------------------------------------------
+    def _fill(self, memo: dict, shas: list[str], fn: Callable, name: str, hits: str) -> list:
+        """``memo[s]`` for each of *shas*, in order, after computing the
+        missing ones with ``fn`` (timed and pooled under *name*).
+
+        Every entry but each missing sha's first counts in *hits*, exactly
+        as per-sha lookups would count them.
+        """
+        missing = list(dict.fromkeys(s for s in shas if s not in memo))
+        if missing:
+            # The cache itself is the state of both sites: one stable
+            # object, so extraction and tokenization share one live pool.
+            computed = map_chunks(
+                fn, missing, workers=self.workers, obs=self.obs, name=name, state=self
+            )
+            memo.update(zip(missing, computed))
+        if len(shas) > len(missing):
+            self.obs.add(hits, len(shas) - len(missing))
+        return [memo[s] for s in shas]
+
+    # ---- feature vectors --------------------------------------------------
 
     def vector(self, sha: str) -> np.ndarray:
         """The 60-dim feature vector for one commit."""
-        vec = self._vectors.get(sha)
-        if vec is None:
-            vec = self._vectors[sha] = _extract(self, [sha], self.obs)[0]
-        else:
-            self.obs.add("vector_cache_hits")
-        return vec
+        return self._fill(self._vectors, [sha], _extract, "extract", "vector_cache_hits")[0]
 
-    def matrix(self, shas: list[str], workers: int | None = None) -> np.ndarray:
-        """Stack vectors for *shas* into an ``(N, 60)`` matrix.
-
-        Args:
-            shas: commits, in output row order (duplicates allowed).
-            workers: >1 extracts missing vectors in a process pool; ``None``
-                uses the cache's ``default_workers``.  Results — including
-                merged obs counters — are identical to serial extraction.
-        """
+    def matrix(self, shas: list[str]) -> np.ndarray:
+        """Stack vectors for *shas* (row order, duplicates allowed) into an
+        ``(N, 60)`` matrix."""
         if not shas:
             return np.zeros((0, FEATURE_COUNT), dtype=np.float64)
-        missing = _missing(shas, self._vectors)
-        if missing:
-            vectors = map_chunks(
-                _extract,
-                missing,
-                workers=workers if workers is not None else self.default_workers,
-                obs=self.obs,
-                name="extract",
-                # The cache itself: one stable state, so consecutive
-                # extractions reuse the pool that forked with it.
-                state=self,
-            )
-            self._vectors.update(zip(missing, vectors))
-        # Every row but each missing sha's first is a hit, exactly as
-        # per-sha ``vector()`` calls would count them.
-        hits = len(shas) - len(missing)
-        if hits:
-            self.obs.add("vector_cache_hits", hits)
-        return np.vstack([self._vectors[s] for s in shas])
+        return np.vstack(self._fill(self._vectors, shas, _extract, "extract", "vector_cache_hits"))
 
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-
-class TokenSequenceCache:
-    """Lazily-computed sha → RNN token-sequence map for one world.
-
-    Tokenization is a pure function of the patch, so the cache is an exact
-    optimization: Tables IV and VI re-read the same commits across seeds,
-    datasets, and train/test roles, and each is lexed once here instead of
-    once per use.  Synthetic patches (which are not world commits but carry
-    deterministic shas) go through :meth:`sequence_of`.  Context lines are
-    never tokenized, like the paper's RNN input.
-
-    Args:
-        world: the world whose commits are cached.
-        obs: observability registry; a private one is created if omitted.
-        default_workers: default process count for :meth:`sequences` warm-up.
-    """
-
-    def __init__(
-        self,
-        world: World,
-        obs: ObsRegistry | None = None,
-        default_workers: int | None = None,
-    ) -> None:
-        self._world = world
-        self._sequences: dict[str, list[str]] = {}
-        self.obs = obs if obs is not None else ObsRegistry()
-        self.default_workers = default_workers
-
-    # ---- tokenization -----------------------------------------------------
+    # ---- token sequences --------------------------------------------------
 
     def sequence(self, sha: str) -> list[str]:
         """The token sequence for one world commit."""
-        seq = self._sequences.get(sha)
-        if seq is None:
-            seq = self._sequences[sha] = _tokenize(self._world, [sha], self.obs)[0]
-        else:
-            self.obs.add("token_cache_hits")
-        return seq
+        return self.sequences([sha])[0]
+
+    def sequences(self, shas: list[str]) -> list[list[str]]:
+        """Token sequences for the world commits *shas*, in input order
+        (duplicates allowed)."""
+        return self._fill(self._sequences, shas, _tokenize, "tokenize", "token_cache_hits")
 
     def sequence_of(self, patch: Patch) -> list[str]:
         """The token sequence for an explicit patch, memoized by its sha.
@@ -208,32 +169,6 @@ class TokenSequenceCache:
             self.obs.add("token_cache_hits")
         return seq
 
-    def sequences(self, shas: list[str], workers: int | None = None) -> list[list[str]]:
-        """Token sequences for *shas*, in input order (duplicates allowed).
-
-        Args:
-            shas: world commits.
-            workers: >1 tokenizes missing entries in a process pool;
-                ``None`` uses the cache's ``default_workers``.  Results are
-                identical to serial tokenization.
-        """
-        missing = _missing(shas, self._sequences)
-        if missing:
-            sequences = map_chunks(
-                _tokenize,
-                missing,
-                workers=workers if workers is not None else self.default_workers,
-                obs=self.obs,
-                name="tokenize",
-                state=self._world,
-            )
-            self._sequences.update(zip(missing, sequences))
-        # Every entry but each missing sha's first is a hit, exactly as
-        # per-sha ``sequence()`` calls would count them.
-        hits = len(shas) - len(missing)
-        if hits:
-            self.obs.add("token_cache_hits", hits)
-        return [self._sequences[s] for s in shas]
-
     def __len__(self) -> int:
-        return len(self._sequences)
+        """The number of distinct shas with a cached vector or sequence."""
+        return len(self._vectors.keys() | self._sequences.keys())

@@ -31,13 +31,12 @@ __all__ = ["RandomForestClassifier"]
 
 
 def _fit_trees(
-    state: tuple[np.ndarray, np.ndarray, dict], seeds: list[int], obs: ObsRegistry
+    _state: None, jobs: list[tuple[int, tuple]], obs: ObsRegistry
 ) -> list[DecisionTreeClassifier]:
-    """Bootstrap and fit one tree per pre-drawn seed, one ``rf_tree``
-    timing each.  *state* is ``(X, y, tree keyword arguments)``."""
-    X, y, tree_kwargs = state
+    """Bootstrap and fit one tree per ``(seed, (X, y, tree keyword
+    arguments))`` job, one ``rf_tree`` timing each."""
     trees = []
-    for seed in seeds:
+    for seed, (X, y, tree_kwargs) in jobs:
         with obs.timer("rf_tree"):
             rng = np.random.default_rng(seed)
             idx = bootstrap_indices(X.shape[0], rng=rng)
@@ -97,13 +96,16 @@ class RandomForestClassifier(Classifier):
         X, y = check_Xy(X, y)
         self._n_features = X.shape[1]
         seeds = [int(s) for s in self._rng.integers(0, np.iinfo(np.int64).max, size=self.n_estimators)]
+        # The training data rides in every job, not in a pool state, so a
+        # live pool (a commit cache's) serves the fit instead of being
+        # retired for it; pickle writes the shared tuple once per chunk.
+        data = (X, y, self._tree_kwargs())
         trees = map_chunks(
             _fit_trees,
-            seeds,
+            [(seed, data) for seed in seeds],
             workers=self.n_jobs,
             obs=self.obs,
             name="rf_tree",
-            state=(X, y, self._tree_kwargs()),
         )
         self.trees = list(trees)
         self.obs.add("rf_trees_parallel" if trees.parallel else "rf_trees_serial", len(trees))

@@ -142,22 +142,9 @@ class RNNClassifier:
             self.loss_history.append(epoch_loss / n)
         return self
 
-    def fit_patches(self, patches, y: np.ndarray, cache=None) -> "RNNClassifier":
-        """Convenience: tokenize :class:`Patch` objects then fit.
-
-        Args:
-            patches: the patches to train on.
-            y: binary labels.
-            cache: optional :class:`~repro.core.cache.TokenSequenceCache`;
-                sequences are served from (and added to) it by patch sha.
-        """
-        return self.fit(self._tokenize(patches, cache), y)
-
-    @staticmethod
-    def _tokenize(patches, cache) -> list[list[str]]:
-        if cache is not None:
-            return [cache.sequence_of(p) for p in patches]
-        return [patch_token_sequence(p) for p in patches]
+    def fit_patches(self, patches, y: np.ndarray) -> "RNNClassifier":
+        """Convenience: tokenize :class:`Patch` objects then fit."""
+        return self.fit([patch_token_sequence(p) for p in patches], y)
 
     # ------------------------------------------------------------------
 
@@ -293,10 +280,9 @@ class RNNClassifier:
         """Hard labels at the 0.5 threshold."""
         return (self.predict_proba(sequences)[:, 1] >= 0.5).astype(np.int64)
 
-    def predict_patches(self, patches, cache=None) -> np.ndarray:
-        """Convenience: tokenize patches (optionally via a shared
-        :class:`~repro.core.cache.TokenSequenceCache`) then predict."""
-        return self.predict(self._tokenize(patches, cache))
+    def predict_patches(self, patches) -> np.ndarray:
+        """Convenience: tokenize patches then predict."""
+        return self.predict([patch_token_sequence(p) for p in patches])
 
 
 class _Workspace:

@@ -1,9 +1,9 @@
 """Observability: spans, wall-time phases, counters, and latency histograms.
 
 One :class:`ObsRegistry` is threaded through the hot paths — feature
-extraction (:class:`~repro.core.cache.PatchFeatureCache`), tokenization
-(:class:`~repro.core.cache.TokenSequenceCache`), the incremental distance
-engine (:class:`~repro.features.normalize.DistanceEngine`), the augmentation
+extraction and tokenization (:class:`~repro.core.cache.CommitCache`), the
+incremental distance engine
+(:class:`~repro.features.normalize.DistanceEngine`), the augmentation
 loop, model training (:func:`~repro.ml.fit_many`,
 :class:`~repro.ml.RandomForestClassifier`), and the linter
 (:func:`~repro.staticcheck.lint_sources`) — so a CLI run or benchmark can
@@ -25,8 +25,8 @@ Three recording primitives build on each other:
 
 **Cross-process merge protocol.**  Process-pool workers cannot write to the
 parent's registry, so :func:`repro.parallel.map_chunks` — the one process
-pool behind world construction, the feature and token caches,
-``fit_many``, the random forest, ``lint_sources``, and autofix — has each
+pool behind world construction, the commit cache, ``fit_many``, the
+random forest, ``lint_sources``, and autofix — has each
 worker chunk record into a fresh local registry and pickle a
 :meth:`snapshot` back with the chunk result; the parent folds them in with
 :meth:`merge` in deterministic chunk order once the pool has finished (the

@@ -29,8 +29,11 @@ everything the two paths must agree on:
   shuts its pool down when the state is collected, so the workers exit
   (and run their exit hooks) as soon as the caller drops it.  Any other
   call (``state=None`` with no live pool, or a state that cannot be weakly
-  referenced: a tuple, an int) gets a one-shot pool, shut down before the
-  call returns.  A forked child never uses its parent's pool.  Because the
+  referenced: lint's and autofix's tuples and lists) gets a one-shot pool,
+  shut down before the call returns.  So a site with per-call data and no
+  state of its own (``fit_many``, the forest's trees) passes that data in
+  its items with ``state=None``, and runs on whatever live pool serves its
+  worker count.  A forked child never uses its parent's pool.  Because the
   live pool is process-wide, call :func:`map_chunks` from one thread only:
   a process that runs server threads (``repro.serve``) never pools.
 * **Observability merge protocol** — each worker chunk records into a fresh

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import (
-    PatchFeatureCache,
+    CommitCache,
     VerificationOracle,
     brute_force_candidates,
     evaluate_candidates,
@@ -16,7 +16,7 @@ from repro.errors import AugmentationError
 
 @pytest.fixture(scope="module")
 def setup(tiny_world):
-    cache = PatchFeatureCache(tiny_world)
+    cache = CommitCache(tiny_world)
     seed_sec = tiny_world.nvd_shas()
     nonsec = [s for s in tiny_world.all_shas() if not tiny_world.label(s).is_security]
     seed_non = nonsec[: 2 * len(seed_sec)]

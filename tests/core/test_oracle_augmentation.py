@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import (
     DatasetAugmentation,
-    PatchFeatureCache,
+    CommitCache,
     SearchSet,
     VerificationOracle,
 )
@@ -14,7 +14,7 @@ from repro.errors import AugmentationError
 
 @pytest.fixture(scope="module")
 def cache(tiny_world):
-    return PatchFeatureCache(tiny_world)
+    return CommitCache(tiny_world)
 
 
 class TestOracle:

@@ -4,8 +4,8 @@ The merge protocol's acceptance bar: running the same work serially and
 through the chunked process pools must report *bit-identical* merged
 counters and per-item timer call counts.  Parallel runs used to bulk-count
 on the parent side (and silently drop worker-side timings); these tests
-pin the fixed behavior for the feature cache, the token cache, and the
-linter.
+pin the fixed behavior for the commit cache's feature vectors and token
+sequences, and for the linter.
 
 Timer *seconds* differ between modes by construction (different clocks in
 different processes), so parity is asserted on counters, call counts, and
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cache import PatchFeatureCache, TokenSequenceCache
+from repro.core.cache import CommitCache
 from repro.obs import ObsRegistry
 from repro.staticcheck import lint_world
 
@@ -33,9 +33,9 @@ class TestFeatureCacheParity:
     def test_counters_match_serial(self, tiny_world):
         shas = shas_with_dupes(tiny_world, 60)
         serial = ObsRegistry()
-        PatchFeatureCache(tiny_world, obs=serial).matrix(shas)
+        CommitCache(tiny_world, obs=serial).matrix(shas)
         parallel = ObsRegistry()
-        PatchFeatureCache(tiny_world, obs=parallel).matrix(shas, workers=2)
+        CommitCache(tiny_world, obs=parallel, workers=2).matrix(shas)
         assert parallel.counters == serial.counters
         assert parallel.calls("extract") == serial.calls("extract")
         assert len(parallel.histograms["extract"]) == len(serial.histograms["extract"])
@@ -43,13 +43,13 @@ class TestFeatureCacheParity:
     def test_repeat_matrix_counts_hits_identically(self, tiny_world):
         shas = sorted(tiny_world.labels)[:40]
         serial = ObsRegistry()
-        cache_s = PatchFeatureCache(tiny_world, obs=serial)
+        cache_s = CommitCache(tiny_world, obs=serial)
         cache_s.matrix(shas)
         cache_s.matrix(shas)
         parallel = ObsRegistry()
-        cache_p = PatchFeatureCache(tiny_world, obs=parallel)
-        cache_p.matrix(shas, workers=2)
-        cache_p.matrix(shas, workers=2)
+        cache_p = CommitCache(tiny_world, obs=parallel, workers=2)
+        cache_p.matrix(shas)
+        cache_p.matrix(shas)
         assert parallel.counters == serial.counters
         assert serial.count("vector_cache_hits") == len(shas)
 
@@ -58,9 +58,9 @@ class TestTokenCacheParity:
     def test_counters_match_serial(self, tiny_world):
         shas = shas_with_dupes(tiny_world, 60)
         serial = ObsRegistry()
-        TokenSequenceCache(tiny_world, obs=serial).sequences(shas)
+        CommitCache(tiny_world, obs=serial).sequences(shas)
         parallel = ObsRegistry()
-        TokenSequenceCache(tiny_world, obs=parallel).sequences(shas, workers=2)
+        CommitCache(tiny_world, obs=parallel, workers=2).sequences(shas)
         assert parallel.counters == serial.counters
         assert parallel.calls("tokenize") == serial.calls("tokenize")
         assert len(parallel.histograms["tokenize"]) == len(serial.histograms["tokenize"])

@@ -63,7 +63,8 @@ class TestForestNJobs:
         obs = ObsRegistry()
         RandomForestClassifier(n_estimators=6, seed=0, n_jobs=2, obs=obs).fit(X, y)
         assert obs.count("rf_trees_parallel") == 6
-        assert obs.seconds("fit_parallel") >= 0.0
+        assert obs.calls("rf_tree_parallel") == 1
+        assert obs.calls("rf_tree") == 6
 
 
 class TestFitMany:
